@@ -191,6 +191,25 @@ if ! diff -u "$tmpdir/a.norm" "$tmpdir/b.norm" > /dev/null; then
   exit 1
 fi
 rm -rf "$tmpdir"
+# golden serve gate: a fixed matrix of serve runs at seed 42 (local
+# crash + txn; local with every DRAM cache armed; replicated sync with
+# group commit and a failover; replicated async on a lossy link) must
+# reproduce the committed results field for field, so a refactor of
+# the serving path cannot move a simulated number unnoticed.
+# Regenerate after an intended change with:
+#   sh scripts/serve_golden.sh test/golden
+step="golden serve gate"
+tmpdir="$(mktemp -d)"
+sh scripts/serve_golden.sh "$tmpdir"
+for g in test/golden/serve-*.json; do
+  if ! diff -u "$g" "$tmpdir/$(basename "$g")" > /dev/null; then
+    echo "check: serve result DIVERGES from its golden $g:" >&2
+    diff -u "$g" "$tmpdir/$(basename "$g")" >&2 || true
+    rm -rf "$tmpdir"
+    exit 1
+  fi
+done
+rm -rf "$tmpdir"
 # batching identity gate: --batch-window 1 must route every request
 # down the pre-batching per-op path, so a replicated serve run with
 # the flag spelled out is byte-identical (modulo the git rev line) to
