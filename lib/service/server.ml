@@ -25,13 +25,7 @@ type config = {
   batch_bytes : int;
   mvcc_window : int;
   tcache_mag : int;
-      (* magazine size of the DRAM thread cache wrapped around the
-         allocator (lib/tcache); 0 disables the wrapper entirely, so
-         the run is byte-identical to the pre-cache servicing path *)
   rcache_entries : int;
-      (* per-shard slot count of the DRAM read cache in front of the
-         persistent trees (lib/rcache); 0 disables every hook, so the
-         run is byte-identical to the pre-cache read path *)
 }
 
 let default_config =
@@ -60,39 +54,42 @@ let default_config =
 
 type op_kind = KGet | KPut | KDel | KScan | KTxn
 
+type req = {
+  rid : int;
+  client : int;
+  kind : op_kind;
+  key : int; (* a transaction's first key: it is sent to that shard *)
+  vseed : int;
+  ops : Kv.txn_op list; (* KTxn only; [] otherwise *)
+}
+
 type payload =
-  | Req of
-      { rid : int;
-        client : int;
-        kind : op_kind;
-        key : int;
-        vseed : int;
-        ops : Kv.txn_op list (* KTxn only; [] otherwise *) }
+  | Req of req
   | Rep of { rid : int; ok : bool; mutated : bool; fin : int }
 
-(* client-side record of a request awaiting its reply *)
-type pending = {
-  p_kind : op_kind;
-  p_key : int;
-  p_vseed : int;
-  p_ops : Kv.txn_op list;
-  p_sent : int;
-  p_trace : int; (* Obs.Span trace id; -1 when tracing is off *)
-  p_span : int; (* the request's root span, closed at reply delivery *)
-}
+(* client-side record of a request awaiting its reply; the reply
+   carries the request's trace id and root span back *)
+type pending = { p_req : req; p_sent : int }
 
 let txn_op_key = function Kv.Tput { key; _ } | Kv.Tdel { key } -> key
 
-(* a commit-group member after decode: the message plus its request
-   fields (copied out — [Req]'s inlined record cannot escape a match),
-   its decode-start time and its still-open store span *)
+(* the store mutations a request asks for, in order ([] for a read) *)
+let mutations r =
+  match r.kind with
+  | KPut -> [ Kv.Tput { key = r.key; vseed = r.vseed } ]
+  | KDel -> [ Kv.Tdel { key = r.key } ]
+  | KTxn -> r.ops
+  | KGet | KScan -> []
+
+let repl_op = function
+  | Kv.Tput { key; vseed } -> Replica.Put { key; vseed }
+  | Kv.Tdel { key } -> Replica.Del { key }
+
+(* a commit-group member after decode: the message, its request, its
+   decode-start time and its still-open store span *)
 type gmember = {
   g_msg : payload Net.msg;
-  g_rid : int;
-  g_client : int;
-  g_kind : op_kind;
-  g_key : int;
-  g_vseed : int;
+  g_req : req;
   g_t0 : int;
   g_store : int;
 }
@@ -144,46 +141,115 @@ type result = {
   ops_scan : int;
 }
 
-let run ~make ~reattach cfg =
+(* ---------- replicated serving: primary + backup on two machines ---------- *)
+
+type repl_config = {
+  repl_mode : Replica.mode;
+  wire_ns : int;
+  repl_window : int;
+  retransmit_ns : int;
+  link_drop_pct : int;
+  link_dup_pct : int;
+}
+
+let default_repl_config =
+  { repl_mode = Replica.Sync;
+    wire_ns = 20_000;
+    repl_window = 64;
+    retransmit_ns = 120_000;
+    link_drop_pct = 0;
+    link_dup_pct = 0 }
+
+type repl_result = {
+  base : result;
+  shipped : int;
+  acked_records : int;
+  retransmits : int;
+  max_lag : int;
+  link_dropped : int;
+  link_duplicated : int;
+  link_flushes : int;
+  backup_applied : int;
+  tail_replayed : int;
+  indoubt_aborted : int;
+  backup_ledger : ledger_report option;
+  sync : bool;
+}
+
+(* ---------- durability backends ---------- *)
+
+(* The backup side of a replicated run: a second machine on the same
+   engine with its own store, the inter-machine link, the primary's
+   shipper and the backup's applier. *)
+type replica = {
+  sync : bool;
+  backup : Machine.t;
+  svc_b : Kv.t;
+  tch_b : Tcache.handle option;
+  link : Replica.msg Cluster.Link.t;
+  shipper : Replica.Shipper.t;
+  applier : Replica.Applier.t;
+  lag_h : Hist.t; (* ship -> applied latency, seen at the backup *)
+}
+
+(* [Local reattach]: an acked mutation is durable on the serving
+   machine; a crash re-attaches its heap and replays the store.
+   [Replicated]: every mutation also ships to the backup inside its
+   critical section; a crash loses the primary and promotes the
+   backup. *)
+type backend =
+  | Local of (Machine.t -> Alloc_intf.instance)
+  | Replicated of replica
+
+let validate who cfg =
+  let bad msg = invalid_arg (who ^ ": " ^ msg) in
   if cfg.shards < 1 || cfg.clients < 1 then
-    invalid_arg "Server.run: shards and clients must be >= 1";
+    bad "shards and clients must be >= 1";
   if cfg.rate <= 0. || cfg.duration <= 0. then
-    invalid_arg "Server.run: rate and duration must be positive";
+    bad "rate and duration must be positive";
   if cfg.read_pct + cfg.delete_pct + cfg.scan_pct + cfg.txn_pct > 100 then
-    invalid_arg "Server.run: op mix exceeds 100%";
+    bad "op mix exceeds 100%";
   if cfg.txn_ops < 1 || cfg.txn_ops > Kv.max_txn_ops then
-    invalid_arg "Server.run: txn_ops out of range";
-  if cfg.batch_window < 1 then invalid_arg "Server.run: batch_window < 1";
-  if cfg.batch_bytes < 0 then invalid_arg "Server.run: batch_bytes < 0";
-  if cfg.mvcc_window < 0 then invalid_arg "Server.run: mvcc_window < 0";
-  if cfg.tcache_mag < 0 then invalid_arg "Server.run: tcache_mag < 0";
-  if cfg.rcache_entries < 0 then invalid_arg "Server.run: rcache_entries < 0";
-  (match cfg.crash_at with
-   | Some f when f <= 0. || f >= 1. ->
-     invalid_arg "Server.run: crash_at must be in (0, 1)"
-   | _ -> ());
-  let mach, inst = make () in
-  let inst, tch =
-    if cfg.tcache_mag > 0 then
-      let i, t = Tcache.wrap ~mag:cfg.tcache_mag inst in
-      (i, Some t)
-    else (inst, None)
-  in
-  let ncpu = (Machine.cfg mach).Machine.Config.num_cpus in
-  if cfg.shards > ncpu then invalid_arg "Server.run: more shards than CPUs";
-  let svc =
-    Kv.create ~mvcc_window:cfg.mvcc_window ~rcache_entries:cfg.rcache_entries
-      inst ~shards:cfg.shards ~value_size:cfg.value_size
-  in
+    bad "txn_ops out of range";
+  if cfg.batch_window < 1 then bad "batch_window < 1";
+  if cfg.batch_bytes < 0 then bad "batch_bytes < 0";
+  if cfg.mvcc_window < 0 then bad "mvcc_window < 0";
+  if cfg.tcache_mag < 0 then bad "tcache_mag < 0";
+  if cfg.rcache_entries < 0 then bad "rcache_entries < 0";
+  match cfg.crash_at with
+  | Some f when f <= 0. || f >= 1. -> bad "crash_at must be in (0, 1)"
+  | _ -> ()
 
-  (* durable baseline: preloaded keys are in the ledger from the start *)
-  let preload_n = min cfg.preload cfg.keyspace in
-  for k = 1 to preload_n do
-    if not (Kv.put svc ~key:k ~vseed:k) then
-      failwith "Server.run: preload exhausted the heap"
+let check_cpus who cfg ncpu =
+  if cfg.shards > ncpu then invalid_arg (who ^ ": more shards than CPUs")
+
+let wrap_tcache cfg inst =
+  if cfg.tcache_mag > 0 then
+    let i, t = Tcache.wrap ~mag:cfg.tcache_mag inst in
+    (i, Some t)
+  else (inst, None)
+
+let create_store cfg inst =
+  Kv.create ~mvcc_window:cfg.mvcc_window ~rcache_entries:cfg.rcache_entries
+    inst ~shards:cfg.shards ~value_size:cfg.value_size
+
+(* durable baseline: keys 1..preload put into every store (key by key,
+   in lockstep) and drained, so they are in the ledger from the start *)
+let preload who cfg stores machines =
+  for k = 1 to min cfg.preload cfg.keyspace do
+    if not (List.for_all (fun s -> Kv.put s ~key:k ~vseed:k) stores) then
+      failwith (who ^ ": preload exhausted the heap")
   done;
-  Nvmm.Memdev.drain (Machine.dev mach);
+  List.iter (fun m -> Nvmm.Memdev.drain (Machine.dev m)) machines
 
+(* ---------- the request pipeline ---------- *)
+
+(* Serves [cfg]'s traffic against [svc] (on [mach], its allocator's
+   magazine cache [tch]) with durability from [backend]; returns the
+   run's result and, for [Replicated], the replication result. *)
+let serve cfg ~mach ~svc ~tch backend =
+  let ncpu = (Machine.cfg mach).Machine.Config.num_cpus in
+  let preload_n = min cfg.preload cfg.keyspace in
   let duration_ns = int_of_float (cfg.duration *. 1e9) in
   let t_crash =
     Option.map
@@ -211,6 +277,7 @@ let run ~make ~reattach cfg =
   let handled = ref 0 and completed = ref 0 and acked_mut = ref 0 in
   let reply_drops = ref 0 in
   let senders = ref cfg.clients in
+  let live_servers = ref cfg.shards in
   let txn_commits = ref 0 and txn_aborts = ref 0 in
   let lat_h = Hist.create () and svc_h = Hist.create () in
   let txn_lat_h = Hist.create () in
@@ -231,26 +298,90 @@ let run ~make ~reattach cfg =
   in
 
   (* ---------- server threads (one per shard) ---------- *)
+  let server_end = match t_crash with Some c -> c | None -> max_int in
+  (* a sync-mode ack wait gives up at the crash (or past the grace) *)
+  let sync_deadline =
+    match t_crash with Some c -> c | None -> t_stop + grace_ns
+  in
+  let batched = cfg.batch_window > 1 in
+  let wait_acked rp ~shard ~seq =
+    Replica.Shipper.wait_acked rp.shipper ~shard ~seq ~deadline:sync_deadline
+  in
+  (* the request's hop in, split at the delivery timestamp: pure wire,
+     then inbox queue wait (known only at dequeue); then the decode /
+     dispatch charge.  Returns the handler's start time. *)
+  let ingress (m : payload Net.msg) =
+    let t0 = Sched.now () in
+    ignore
+      (Obs.Span.add_span ~trace:m.trace ~parent:m.span Obs.Span.Req_wire
+         ~t0:m.sent_at ~t1:m.delivered_at);
+    if t0 > m.delivered_at then
+      ignore
+        (Obs.Span.add_span ~trace:m.trace ~parent:m.span Obs.Span.Queue
+           ~t0:m.delivered_at ~t1:t0);
+    let sdec =
+      Obs.Span.open_span ~trace:m.trace ~parent:m.span Obs.Span.Decode
+    in
+    Machine.compute mach 200;
+    Obs.Span.close_span sdec;
+    t0
+  in
+  (* a detail stage measured by a mark/since counter, laid out as the
+     [ns] ending at [fin] under [parent] *)
+  let detail ~trace ~parent ~fin stage ns =
+    if ns > 0 then
+      ignore (Obs.Span.add_span ~trace ~parent stage ~t0:(fin - ns) ~t1:fin)
+  in
+  let reply ~trace ~span ~client rep =
+    if not (Net.try_send ~trace ~span net ~dst:(cfg.shards + client) rep) then
+      incr reply_drops
+  in
+  (* Replication ships each mutation inside its critical section (right
+     after the local persist, before the lock is released), so every
+     shard's sequenced stream orders exactly as the store applied the
+     mutations.  A committed transaction ships every participant's
+     prepare and decide — batched, the records stage in the doorbell
+     buffer and leave as one frame, so the decide stops paying its own
+     round trip — then holds the participant locks until the backup
+     has acked the whole group, in BOTH modes: the streams are shipped
+     under these locks, so the wait guarantees the next transaction
+     touching one of these shards cannot reach the backup while this
+     group's slots are still pending (a decide lagging on one stream
+     would let a later prepare collide with the occupied slot). *)
+  let ship_txn rp ~trace ~stx res =
+    let nparts = List.length res.Kv.participants in
+    let ship s op =
+      if batched then Replica.Shipper.ship_buffered rp.shipper ~shard:s op
+      else Replica.Shipper.ship rp.shipper ~trace ~span:stx ~shard:s op
+    in
+    let dseqs =
+      List.map
+        (fun (s, ops) ->
+          ignore (ship s (Replica.Txn_prepare { txn = res.Kv.txn_id; ops }));
+          ( s,
+            ship s
+              (Replica.Txn_decide
+                 { txn = res.Kv.txn_id; commit = true; nparts }) ))
+        res.Kv.participants
+    in
+    if batched then ignore (Replica.Shipper.flush rp.shipper);
+    let sra = Obs.Span.open_span ~trace ~parent:stx Obs.Span.Repl_ack in
+    let acked =
+      List.for_all (fun (shard, seq) -> wait_acked rp ~shard ~seq) dseqs
+    in
+    Obs.Span.close_span sra;
+    acked
+  in
   let server_body i () =
-    let server_end = match t_crash with Some c -> c | None -> max_int in
     let handle (m : payload Net.msg) =
       match m.payload with
       | Rep _ -> ()
       | Req r ->
-        let t0 = Sched.now () in
         let trace = m.trace in
-        (* the request's hop in, split at the delivery timestamp: pure
-           wire, then inbox queue wait — known only at dequeue *)
-        ignore
-          (Obs.Span.add_span ~trace ~parent:m.span Obs.Span.Req_wire
-             ~t0:m.sent_at ~t1:m.delivered_at);
-        if t0 > m.delivered_at then
-          ignore
-            (Obs.Span.add_span ~trace ~parent:m.span Obs.Span.Queue
-               ~t0:m.delivered_at ~t1:t0);
-        let sdec = Obs.Span.open_span ~trace ~parent:m.span Obs.Span.Decode in
-        Machine.compute mach 200 (* request decode / dispatch overhead *);
-        Obs.Span.close_span sdec;
+        let t0 = ingress m in
+        (* replicated only: the single op's shipped seq, and whether a
+           committed transaction's records were all acked *)
+        let seq = ref None and txn_acked = ref true in
         let ok, mutated, fin =
           match r.kind with
           | KTxn ->
@@ -258,22 +389,19 @@ let run ~make ~reattach cfg =
             let stx = Obs.Span.open_span ~trace ~parent:m.span Obs.Span.Txn in
             let pmark = Obs.Span.persist_mark () in
             let amark = Obs.Span.alloc_mark () in
-            let res = Kv.txn svc r.ops ~trace ~span:stx in
+            let on_commit =
+              match backend with
+              | Local _ -> None
+              | Replicated rp ->
+                Some (fun res -> txn_acked := ship_txn rp ~trace ~stx res)
+            in
+            let res = Kv.txn svc r.ops ~trace ~span:stx ?on_commit in
             let pns = Obs.Span.persist_since pmark in
             let ans = Obs.Span.alloc_since amark in
             Obs.Span.close_span stx;
-            if pns > 0 then begin
-              let now = Sched.now () in
-              ignore
-                (Obs.Span.add_span ~trace ~parent:stx Obs.Span.Persist
-                   ~t0:(now - pns) ~t1:now)
-            end;
-            if ans > 0 then begin
-              let now = Sched.now () in
-              ignore
-                (Obs.Span.add_span ~trace ~parent:stx Obs.Span.Alloc
-                   ~t0:(now - ans) ~t1:now)
-            end;
+            let now = Sched.now () in
+            detail ~trace ~parent:stx ~fin:now Obs.Span.Persist pns;
+            detail ~trace ~parent:stx ~fin:now Obs.Span.Alloc ans;
             if res.Kv.committed then incr txn_commits else incr txn_aborts;
             (res.Kv.committed, res.Kv.committed, res.Kv.fin)
           | (KGet | KScan) when cfg.mvcc_window > 0 ->
@@ -298,10 +426,7 @@ let run ~make ~reattach cfg =
             let rns = Obs.Span.rcache_since rmark in
             let fin = Sched.now () in
             Obs.Span.close_span ssn;
-            if rns > 0 then
-              ignore
-                (Obs.Span.add_span ~trace ~parent:ssn Obs.Span.Rcache
-                   ~t0:(fin - rns) ~t1:fin);
+            detail ~trace ~parent:ssn ~fin Obs.Span.Rcache rns;
             (ok, false, fin)
           | _ ->
             let slw =
@@ -329,33 +454,49 @@ let run ~make ~reattach cfg =
                     (true, false)
                   | KTxn -> assert false
                 in
+                (match backend, mutations r with
+                 | Replicated rp, [ op ] when mutated ->
+                   seq :=
+                     Some
+                       (Replica.Shipper.ship rp.shipper ~trace ~span:sst
+                          ~shard:i (repl_op op))
+                 | _ -> ());
                 let pns = Obs.Span.persist_since pmark in
                 let ans = Obs.Span.alloc_since amark in
                 let rns = Obs.Span.rcache_since rmark in
                 let fin = Sched.now () in
                 Obs.Span.close_span sst;
-                if pns > 0 then
-                  ignore
-                    (Obs.Span.add_span ~trace ~parent:sst Obs.Span.Persist
-                       ~t0:(fin - pns) ~t1:fin);
-                if ans > 0 then
-                  ignore
-                    (Obs.Span.add_span ~trace ~parent:sst Obs.Span.Alloc
-                       ~t0:(fin - ans) ~t1:fin);
-                if rns > 0 then
-                  ignore
-                    (Obs.Span.add_span ~trace ~parent:sst Obs.Span.Rcache
-                       ~t0:(fin - rns) ~t1:fin);
+                detail ~trace ~parent:sst ~fin Obs.Span.Persist pns;
+                detail ~trace ~parent:sst ~fin Obs.Span.Alloc ans;
+                detail ~trace ~parent:sst ~fin Obs.Span.Rcache rns;
                 (ok, mutated, fin))
+        in
+        (* Sync mode holds the reply until the backup's cumulative ack
+           covers every shipped record — an acked mutation (single op
+           or whole transaction) must survive primary loss.  On wait
+           timeout (crash boundary) the reply is withheld: the client
+           keeps the request outstanding and verification treats its
+           keys as ambiguous rather than guaranteed, which is what
+           makes a promote-time presumed-abort of a half-delivered
+           transaction safe. *)
+        let replied =
+          match backend, !seq with
+          | Local _, _ -> true
+          | Replicated rp, _ when r.kind = KTxn -> (not rp.sync) || !txn_acked
+          | Replicated rp, Some seq when rp.sync ->
+            let sra =
+              Obs.Span.open_span ~trace ~parent:m.span Obs.Span.Repl_ack
+            in
+            let acked = wait_acked rp ~shard:i ~seq in
+            Obs.Span.close_span sra;
+            acked
+          | Replicated _, _ -> true
         in
         incr handled;
         Hist.record svc_h (Sched.now () - t0);
-        let rep = Rep { rid = r.rid; ok; mutated; fin } in
-        if
-          not
-            (Net.try_send ~trace ~span:m.span net ~dst:(cfg.shards + r.client)
-               rep)
-        then incr reply_drops
+        if replied then
+          reply ~trace ~span:m.span ~client:r.client
+            (Rep { rid = r.rid; ok; mutated; fin })
     in
     (* Group commit (batch_window > 1): consecutive already-queued
        single-key mutations drain into one commit group executed by
@@ -364,10 +505,15 @@ let run ~make ~reattach cfg =
        timers: while one group persists, more requests queue behind
        it, so the batch size self-tunes to the offered load.  A read
        or transaction ends collection and is handled, in arrival
-       order, by the unbatched path. *)
+       order, by the unbatched path.  Replicated, the group's records
+       stage in the link's doorbell buffer and leave as one frame per
+       chunk, and sync mode pays ONE ack wait for the whole group —
+       each member's wait shows up as a Flush_wait span (waiting for
+       the covering flush), not as queueing behind its predecessors'
+       round trips. *)
     let is_group_member = function
-      | Req r -> r.kind = KPut || r.kind = KDel
-      | Rep _ -> false
+      | Req { kind = KPut | KDel; _ } -> true
+      | _ -> false
     in
     let op_bytes = function
       | Req { kind = KPut; _ } -> 24 + cfg.value_size
@@ -393,55 +539,69 @@ let run ~make ~reattach cfg =
       let members =
         List.map
           (fun (m : payload Net.msg) ->
-            let rid, client, kind, key, vseed =
-              match m.Net.payload with
-              | Req { rid; client; kind; key; vseed; _ } ->
-                (rid, client, kind, key, vseed)
-              | Rep _ -> assert false
+            let r =
+              match m.Net.payload with Req r -> r | Rep _ -> assert false
             in
-            let t0 = Sched.now () in
-            ignore
-              (Obs.Span.add_span ~trace:m.Net.trace ~parent:m.Net.span
-                 Obs.Span.Req_wire ~t0:m.Net.sent_at ~t1:m.Net.delivered_at);
-            if t0 > m.Net.delivered_at then
-              ignore
-                (Obs.Span.add_span ~trace:m.Net.trace ~parent:m.Net.span
-                   Obs.Span.Queue ~t0:m.Net.delivered_at ~t1:t0);
-            let sdec =
-              Obs.Span.open_span ~trace:m.Net.trace ~parent:m.Net.span
-                Obs.Span.Decode
-            in
-            Machine.compute mach 200;
-            Obs.Span.close_span sdec;
+            let t0 = ingress m in
             let sst =
               Obs.Span.open_span ~trace:m.Net.trace ~parent:m.Net.span
                 Obs.Span.Store
             in
-            { g_msg = m; g_rid = rid; g_client = client; g_kind = kind;
-              g_key = key; g_vseed = vseed; g_t0 = t0; g_store = sst })
+            { g_msg = m; g_req = r; g_t0 = t0; g_store = sst })
           msgs
       in
-      let ops =
-        List.map
-          (fun g ->
-            match g.g_kind with
-            | KPut -> Kv.Tput { key = g.g_key; vseed = g.g_vseed }
-            | KDel -> Kv.Tdel { key = g.g_key }
-            | _ -> assert false)
-          members
+      let ops = List.concat_map (fun g -> mutations g.g_req) members in
+      (* replicated: ship inside the shard lock, per chunk, as one
+         doorbell frame *)
+      let last_seq = ref (-1) in
+      let on_chunk =
+        match backend with
+        | Local _ -> None
+        | Replicated rp ->
+          Some
+            (fun ~fin:_ cops ->
+              List.iter
+                (fun op ->
+                  last_seq :=
+                    Replica.Shipper.ship_buffered rp.shipper ~shard:i
+                      (repl_op op))
+                cops;
+              ignore (Replica.Shipper.flush rp.shipper))
       in
-      let results = Kv.group_commit svc ~shard:i ops in
+      let results = Kv.group_commit svc ~shard:i ops ?on_chunk in
+      (* Local: each member's store span closes as its reply goes out.
+         Replicated: all close at the commit, and one cumulative ack
+         wait covers every member of the group. *)
+      let replied =
+        match backend with
+        | Local _ -> true
+        | Replicated rp ->
+          List.iter (fun g -> Obs.Span.close_span g.g_store) members;
+          if (not rp.sync) || !last_seq < 0 then true
+          else begin
+            let waits =
+              List.map
+                (fun g ->
+                  Obs.Span.open_span ~trace:g.g_msg.Net.trace
+                    ~parent:g.g_msg.Net.span Obs.Span.Flush_wait)
+                members
+            in
+            let acked = wait_acked rp ~shard:i ~seq:!last_seq in
+            List.iter Obs.Span.close_span waits;
+            acked
+          end
+      in
       List.iter2
         (fun g (ok, fin) ->
-          Obs.Span.close_span g.g_store;
+          (match backend with
+           | Local _ -> Obs.Span.close_span g.g_store
+           | Replicated _ -> ());
           incr handled;
           Hist.record svc_h (Sched.now () - g.g_t0);
-          let rep = Rep { rid = g.g_rid; ok; mutated = ok; fin } in
-          if
-            not
-              (Net.try_send ~trace:g.g_msg.Net.trace ~span:g.g_msg.Net.span
-                 net ~dst:(cfg.shards + g.g_client) rep)
-          then incr reply_drops)
+          if replied then
+            reply ~trace:g.g_msg.Net.trace ~span:g.g_msg.Net.span
+              ~client:g.g_req.client
+              (Rep { rid = g.g_req.rid; ok; mutated = ok; fin }))
         members results
     in
     let handle_batched m =
@@ -452,44 +612,26 @@ let run ~make ~reattach cfg =
       end
       else handle m
     in
+    (* batch_window = 1 hands every request to [handle] (the per-op
+       path); above 1 mutations go through [handle_batched] *)
+    let handle_msg = if batched then handle_batched else handle in
     let rec loop () =
       if Sched.now () >= server_end then ()
       else
         match Net.recv net ~port:i with
         | Some m ->
-          handle m;
+          handle_msg m;
           loop ()
         | None ->
           if !senders = 0 && Net.pending net ~port:i = 0 then ()
           else begin
             let until = min server_end (Sched.now () + 100_000) in
-            (match Net.recv_wait net ~port:i ~until with
-             | Some m -> handle m
-             | None -> ());
+            Option.iter handle_msg (Net.recv_wait net ~port:i ~until);
             loop ()
           end
     in
-    (* batch_window = 1 takes the pre-batching loop verbatim — the
-       regression gate in check.sh diffs its serve JSON byte-for-byte
-       against a build without the batching layer *)
-    let rec loop_batched () =
-      if Sched.now () >= server_end then ()
-      else
-        match Net.recv net ~port:i with
-        | Some m ->
-          handle_batched m;
-          loop_batched ()
-        | None ->
-          if !senders = 0 && Net.pending net ~port:i = 0 then ()
-          else begin
-            let until = min server_end (Sched.now () + 100_000) in
-            (match Net.recv_wait net ~port:i ~until with
-             | Some m -> handle_batched m
-             | None -> ());
-            loop_batched ()
-          end
-    in
-    if cfg.batch_window > 1 then loop_batched () else loop ()
+    loop ();
+    decr live_servers
   in
 
   (* ---------- client threads ---------- *)
@@ -524,40 +666,37 @@ let run ~make ~reattach cfg =
     let drain () =
       let rec go () =
         match Net.recv net ~port with
-        | Some { payload = Rep r; delivered_at; sent_at; _ } ->
+        | Some { payload = Rep r; delivered_at; sent_at; trace; span; _ } ->
           (match Hashtbl.find_opt out r.rid with
            | Some p ->
              Hashtbl.remove out r.rid;
              incr completed;
-             Hist.record lat_h (delivered_at - p.p_sent);
-             (match p.p_kind with
-              | KGet -> Hist.record read_h (delivered_at - p.p_sent)
-              | KScan -> Hist.record scan_h (delivered_at - p.p_sent)
-              | KPut | KDel | KTxn ->
-                Hist.record write_h (delivered_at - p.p_sent));
+             let lat = delivered_at - p.p_sent in
+             Hist.record lat_h lat;
+             Hist.record
+               (match p.p_req.kind with
+                | KGet -> read_h
+                | KScan -> scan_h
+                | KPut | KDel | KTxn -> write_h)
+               lat;
              (* the reply's hop back, then the root closes at delivery
                 (not at this drain) so root = measured latency *)
              ignore
-               (Obs.Span.add_span ~trace:p.p_trace ~parent:p.p_span
-                  Obs.Span.Rep_wire ~t0:sent_at ~t1:delivered_at);
-             Obs.Span.close_span_at p.p_span ~t1:delivered_at;
+               (Obs.Span.add_span ~trace ~parent:span Obs.Span.Rep_wire
+                  ~t0:sent_at ~t1:delivered_at);
+             Obs.Span.close_span_at span ~t1:delivered_at;
              if r.mutated then begin
                incr acked_mut;
-               match p.p_kind with
-               | KTxn ->
-                 Hist.record txn_lat_h (delivered_at - p.p_sent);
-                 List.iter
-                   (fun o ->
-                     let k, v =
-                       match o with
-                       | Kv.Tput { key; vseed } -> (key, Some vseed)
-                       | Kv.Tdel { key } -> (key, None)
-                     in
-                     ledger := (k, v, r.fin) :: !ledger)
-                   p.p_ops
-               | _ ->
-                 let v = if p.p_kind = KPut then Some p.p_vseed else None in
-                 ledger := (p.p_key, v, r.fin) :: !ledger
+               if p.p_req.kind = KTxn then Hist.record txn_lat_h lat;
+               List.iter
+                 (fun o ->
+                   let v =
+                     match o with
+                     | Kv.Tput { vseed; _ } -> Some vseed
+                     | Kv.Tdel _ -> None
+                   in
+                   ledger := (txn_op_key o, v, r.fin) :: !ledger)
+                 (mutations p.p_req)
              end
            | None -> ());
           go ()
@@ -607,23 +746,14 @@ let run ~make ~reattach cfg =
           let root =
             Obs.Span.open_span ~trace ~parent:(-1) Obs.Span.Request
           in
-          if
-            Net.try_send ~trace ~span:root net ~dst
-              (Req { rid; client = j; kind; key; vseed = rid; ops })
-          then begin
+          let req = { rid; client = j; kind; key; vseed = rid; ops } in
+          if Net.try_send ~trace ~span:root net ~dst (Req req) then begin
             incr admitted;
             let p_sent = Sched.now () in
             (* align the root with the send timestamp (the send's CPU
                charge lands between open_span and here) *)
             Obs.Span.set_start root ~t0:p_sent;
-            Hashtbl.replace out rid
-              { p_kind = kind;
-                p_key = key;
-                p_vseed = rid;
-                p_ops = ops;
-                p_sent;
-                p_trace = trace;
-                p_span = root }
+            Hashtbl.replace out rid { p_req = req; p_sent }
           end
           else incr shed (* Overloaded: admission refused, request dropped *);
           send_loop (t_next + Net.Loadgen.next_gap_ns lg)
@@ -649,6 +779,33 @@ let run ~make ~reattach cfg =
   for i = 0 to cfg.shards - 1 do
     ignore (Machine.spawn mach ~cpu:i (server_body i))
   done;
+  (match backend with
+   | Local _ -> ()
+   | Replicated rp ->
+     (* primary: the replication pump drains acks and retransmits
+        timed-out tails until every server is done and fully acked *)
+     let pump_done = ref false in
+     let deadline =
+       match t_crash with Some c -> c | None -> t_stop + (4 * grace_ns)
+     in
+     ignore
+       (Machine.spawn mach ~cpu:(ncpu - 1) (fun () ->
+            Replica.Shipper.pump rp.shipper
+              ~until:(fun () -> !live_servers = 0)
+              ~deadline;
+            pump_done := true));
+     (* backup: the applier.  On a crash run it stops where the
+        primary's pump stopped; whatever the wire still holds is the
+        tail that the failover replays, and its replay cost is charged
+        to the promote RTO. *)
+     let until =
+       match t_crash with
+       | Some _ -> fun () -> !pump_done
+       | None -> fun () -> !pump_done && Cluster.Link.pending rp.link ~ep:1 = 0
+     in
+     ignore
+       (Machine.spawn rp.backup ~cpu:0 (fun () ->
+            Replica.Applier.pump rp.applier ~until)));
   for j = 0 to cfg.clients - 1 do
     ignore (Machine.spawn mach ~cpu:(client_cpu j) (client_body j))
   done;
@@ -662,13 +819,9 @@ let run ~make ~reattach cfg =
     (fun out ->
       Hashtbl.iter
         (fun _ p ->
-          match p.p_kind with
-          | KPut | KDel -> Hashtbl.replace in_flight_keys p.p_key ()
-          | KTxn ->
-            List.iter
-              (fun o -> Hashtbl.replace in_flight_keys (txn_op_key o) ())
-              p.p_ops
-          | KGet | KScan -> ())
+          List.iter
+            (fun o -> Hashtbl.replace in_flight_keys (txn_op_key o) ())
+            (mutations p.p_req))
         out)
     outstanding;
   let in_flight_at_crash = Hashtbl.length in_flight_keys in
@@ -702,22 +855,27 @@ let run ~make ~reattach cfg =
     { checked = !checked; ambiguous = !ambiguous; mismatches = !mismatches }
   in
 
-  let crashed, rto_ns, recovery, ledger_rep =
-    match t_crash with
-    | None -> (false, 0, None, verify svc)
-    | Some _ ->
+  (* crash handling, then the ledger check of the store that serves on:
+     returns (rto_ns, recovery, ledger, backup ledger on clean
+     replicated runs, (tail replayed, in-doubt slots aborted) at
+     promote) *)
+  let rto_ns, recovery, ledger_rep, backup_ledger, (tail_replayed, indoubt) =
+    match backend, t_crash with
+    | Local _, None -> (0, None, verify svc, None, (0, 0))
+    | Replicated rp, None ->
+      (* the backup must have converged to the same acked state (the
+         shipper pump runs until fully acked): check it alongside *)
+      let backup_ledger = verify rp.svc_b in
+      (0, None, verify svc, Some backup_ledger, (0, 0))
+    | Local reattach, Some _ ->
       Nvmm.Memdev.crash (Machine.dev mach) `Strict;
       let got = ref None in
       let secs =
         Machine.parallel mach ~threads:1 (fun _ ->
             let inst' = reattach mach in
-            let inst' =
-              (* the recovered heap reclaimed every lease; serve the
-                 post-crash store through a fresh cache *)
-              if cfg.tcache_mag > 0 then
-                fst (Tcache.wrap ~mag:cfg.tcache_mag inst')
-              else inst'
-            in
+            (* the recovered heap reclaimed every lease; serve the
+               post-crash store through a fresh cache *)
+            let inst', _ = wrap_tcache cfg inst' in
             got :=
               Some
                 (Kv.attach ~mvcc_window:cfg.mvcc_window
@@ -725,1000 +883,53 @@ let run ~make ~reattach cfg =
       in
       let svc', reco = Option.get !got in
       Kv.check svc';
-      (true, int_of_float (secs *. 1e9), Some reco, verify svc')
-  in
-
-  let queue_max_depth = ref 0 in
-  for i = 0 to cfg.shards - 1 do
-    let s = Net.stats net ~port:i in
-    if s.Net.max_depth > !queue_max_depth then queue_max_depth := s.Net.max_depth
-  done;
-
-  let secs = float_of_int t_stop /. 1e9 in
-  let scope = cfg.scope in
-  let g name v = Obs.Metrics.set_gauge ~scope name v in
-  g "offered" (float_of_int !offered);
-  g "admitted" (float_of_int !admitted);
-  g "shed" (float_of_int !shed);
-  g "handled" (float_of_int !handled);
-  g "completed" (float_of_int !completed);
-  g "acked_mutations" (float_of_int !acked_mut);
-  g "reply_drops" (float_of_int !reply_drops);
-  g "queue_max_depth" (float_of_int !queue_max_depth);
-  g "rto_ns" (float_of_int rto_ns);
-  g "txn_committed" (float_of_int !txn_commits);
-  g "txn_aborted" (float_of_int !txn_aborts);
-  g "ops_read" (float_of_int !n_read);
-  g "ops_write" (float_of_int !n_write);
-  g "ops_scan" (float_of_int !n_scan);
-  g "mvcc_truncated_reads" (float_of_int (Kv.mvcc_truncated_reads svc));
-  Array.iteri
-    (fun i (chains, versions) ->
-      let sscope = Printf.sprintf "%s/shard%d" scope i in
-      Obs.Metrics.set_gauge ~scope:sscope "mvcc_chains" (float_of_int chains);
-      Obs.Metrics.set_gauge ~scope:sscope "mvcc_chain_versions"
-        (float_of_int versions))
-    (Kv.mvcc_shard_chains svc);
-  (match tch with
-   | Some t ->
-     let hits, misses, refills, flushes = Tcache.stats t in
-     g "tcache_hits" (float_of_int hits);
-     g "tcache_misses" (float_of_int misses);
-     g "tcache_bin_refills" (float_of_int refills);
-     g "tcache_bin_flushes" (float_of_int flushes)
-   | None -> ());
-  if cfg.rcache_entries > 0 then begin
-    let hits, misses, evictions, invalidations = Kv.rcache_stats svc in
-    g "rcache_hits" (float_of_int hits);
-    g "rcache_misses" (float_of_int misses);
-    g "rcache_evictions" (float_of_int evictions);
-    g "rcache_invalidations" (float_of_int invalidations)
-  end;
-  Hist.merge ~into:(Obs.Metrics.log_histogram ~scope "latency_ns") lat_h;
-  Hist.merge ~into:(Obs.Metrics.log_histogram ~scope "service_ns") svc_h;
-  Hist.merge ~into:(Obs.Metrics.log_histogram ~scope "txn_latency_ns") txn_lat_h;
-  Hist.merge ~into:(Obs.Metrics.log_histogram ~scope "read_latency_ns") read_h;
-  Hist.merge ~into:(Obs.Metrics.log_histogram ~scope "write_latency_ns") write_h;
-  Hist.merge ~into:(Obs.Metrics.log_histogram ~scope "scan_latency_ns") scan_h;
-
-  { offered = !offered;
-    admitted = !admitted;
-    shed = !shed;
-    completed = !completed;
-    acked_mutations = !acked_mut;
-    sim_ns;
-    throughput = float_of_int !handled /. secs;
-    goodput = float_of_int !completed /. secs;
-    latency = percentiles_of lat_h;
-    service = percentiles_of svc_h;
-    crashed;
-    rto_ns;
-    recovery;
-    ledger = ledger_rep;
-    in_flight_at_crash;
-    queue_max_depth = !queue_max_depth;
-    txns_committed = !txn_commits;
-    txns_aborted = !txn_aborts;
-    txn_latency = percentiles_of txn_lat_h;
-    read_latency = percentiles_of read_h;
-    write_latency = percentiles_of write_h;
-    scan_latency = percentiles_of scan_h;
-    ops_read = !n_read;
-    ops_write = !n_write;
-    ops_scan = !n_scan }
-
-(* ------------------------------------------------------------------ *)
-(* Replicated serving: primary + backup on a two-machine cluster.     *)
-(* ------------------------------------------------------------------ *)
-
-type repl_config = {
-  repl_mode : Replica.mode;
-  wire_ns : int;
-  repl_window : int;
-  retransmit_ns : int;
-  link_drop_pct : int;
-  link_dup_pct : int;
-}
-
-let default_repl_config =
-  { repl_mode = Replica.Sync;
-    wire_ns = 20_000;
-    repl_window = 64;
-    retransmit_ns = 120_000;
-    link_drop_pct = 0;
-    link_dup_pct = 0 }
-
-type repl_result = {
-  base : result;
-  shipped : int;
-  acked_records : int;
-  retransmits : int;
-  max_lag : int;
-  link_dropped : int;
-  link_duplicated : int;
-  link_flushes : int;
-  backup_applied : int;
-  tail_replayed : int;
-  indoubt_aborted : int;
-  backup_ledger : ledger_report option;
-  sync : bool;
-}
-
-let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
-  if cfg.shards < 1 || cfg.clients < 1 then
-    invalid_arg "Server.run_replicated: shards and clients must be >= 1";
-  if cfg.rate <= 0. || cfg.duration <= 0. then
-    invalid_arg "Server.run_replicated: rate and duration must be positive";
-  if cfg.read_pct + cfg.delete_pct + cfg.scan_pct + cfg.txn_pct > 100 then
-    invalid_arg "Server.run_replicated: op mix exceeds 100%";
-  if cfg.txn_ops < 1 || cfg.txn_ops > Kv.max_txn_ops then
-    invalid_arg "Server.run_replicated: txn_ops out of range";
-  if cfg.batch_window < 1 then
-    invalid_arg "Server.run_replicated: batch_window < 1";
-  if cfg.batch_bytes < 0 then
-    invalid_arg "Server.run_replicated: batch_bytes < 0";
-  if cfg.mvcc_window < 0 then
-    invalid_arg "Server.run_replicated: mvcc_window < 0";
-  if cfg.tcache_mag < 0 then
-    invalid_arg "Server.run_replicated: tcache_mag < 0";
-  if cfg.rcache_entries < 0 then
-    invalid_arg "Server.run_replicated: rcache_entries < 0";
-  (match cfg.crash_at with
-   | Some f when f <= 0. || f >= 1. ->
-     invalid_arg "Server.run_replicated: crash_at must be in (0, 1)"
-   | _ -> ());
-  if rcfg.wire_ns < 1 then
-    invalid_arg "Server.run_replicated: wire_ns < 1";
-  let sync = rcfg.repl_mode = Replica.Sync in
-
-  let cluster = Cluster.create ~cfg:mcfg ~machines:2 () in
-  let primary = Cluster.machine cluster 0 in
-  let backup = Cluster.machine cluster 1 in
-  let ncpu = mcfg.Machine.Config.num_cpus in
-  if cfg.shards > ncpu then
-    invalid_arg "Server.run_replicated: more shards than CPUs";
-  let wrap_inst inst =
-    if cfg.tcache_mag > 0 then
-      let i, t = Tcache.wrap ~mag:cfg.tcache_mag inst in
-      (i, Some t)
-    else (inst, None)
-  in
-  let inst_p, tch_p = wrap_inst (make primary) in
-  let inst_b, tch_b = wrap_inst (make backup) in
-  let svc =
-    Kv.create ~mvcc_window:cfg.mvcc_window ~rcache_entries:cfg.rcache_entries
-      inst_p ~shards:cfg.shards ~value_size:cfg.value_size
-  in
-  (* the backup grows chains too (group-installed, like the primary)
-     so a promotion can serve snapshots at once — and caches reads the
-     same way, its entries invalidated by the replicated applies *)
-  let svc_b =
-    Kv.create ~mvcc_window:cfg.mvcc_window ~rcache_entries:cfg.rcache_entries
-      inst_b ~shards:cfg.shards ~value_size:cfg.value_size
-  in
-
-  (* identical durable baseline on both machines *)
-  let preload_n = min cfg.preload cfg.keyspace in
-  for k = 1 to preload_n do
-    if not (Kv.put svc ~key:k ~vseed:k && Kv.put svc_b ~key:k ~vseed:k) then
-      failwith "Server.run_replicated: preload exhausted the heap"
-  done;
-  Nvmm.Memdev.drain (Machine.dev primary);
-  Nvmm.Memdev.drain (Machine.dev backup);
-
-  let link : Replica.msg Cluster.Link.t =
-    Cluster.Link.create ~wire_ns:rcfg.wire_ns ~capacity:1024
-      ~drop_pct:rcfg.link_drop_pct ~dup_pct:rcfg.link_dup_pct
-      ~seed:(cfg.seed lxor 0x5EA) ()
-  in
-  let repl_cfg =
-    { Replica.mode = rcfg.repl_mode;
-      window = rcfg.repl_window;
-      retransmit_ns = rcfg.retransmit_ns;
-      poll_ns = 400 }
-  in
-  let shipper = Replica.Shipper.create repl_cfg ~shards:cfg.shards ~link in
-  let repl_lag_h = Hist.create () in
-  let applier =
-    Replica.Applier.create repl_cfg ~shards:cfg.shards ~link
-      ~ack_batch:(cfg.batch_window > 1)
-      ~on_apply:(fun ~lat_ns -> Hist.record repl_lag_h lat_ns)
-      ~apply:(fun ~shard op -> Txn.apply_replicated svc_b ~shard op)
-      ~apply_group:(fun ~shard ops ->
-        Txn.apply_replicated_group svc_b ~shard ops)
-  in
-
-  let duration_ns = int_of_float (cfg.duration *. 1e9) in
-  let t_crash =
-    Option.map
-      (fun f -> max 1 (int_of_float (f *. float_of_int duration_ns)))
-      cfg.crash_at
-  in
-  let t_stop = match t_crash with Some c -> min c duration_ns | None -> duration_ns in
-  let grace_ns = 5_000_000 in
-
-  let reply_cap = max 1024 (4 * cfg.queue_capacity) in
-  let client_cpu j =
-    if cfg.shards >= ncpu then j mod ncpu
-    else cfg.shards + (j mod (ncpu - cfg.shards))
-  in
-  let ports =
-    Array.init (cfg.shards + cfg.clients) (fun i ->
-        if i < cfg.shards then (i, cfg.queue_capacity)
-        else (client_cpu (i - cfg.shards), reply_cap))
-  in
-  let net : payload Net.t = Net.create primary ~ports ~poll_ns:2_000 () in
-
-  let offered = ref 0 and admitted = ref 0 and shed = ref 0 in
-  let handled = ref 0 and completed = ref 0 and acked_mut = ref 0 in
-  let reply_drops = ref 0 in
-  let senders = ref cfg.clients in
-  let live_servers = ref cfg.shards in
-  let ship_pump_done = ref false in
-  let txn_commits = ref 0 and txn_aborts = ref 0 in
-  let indoubt_aborted = ref 0 in
-  let lat_h = Hist.create () and svc_h = Hist.create () in
-  let txn_lat_h = Hist.create () in
-  (* request latency split by op class, recorded at reply delivery *)
-  let read_h = Hist.create ()
-  and write_h = Hist.create ()
-  and scan_h = Hist.create () in
-  (* offered op mix, counted at generation (shed requests included) *)
-  let n_read = ref 0 and n_write = ref 0 and n_scan = ref 0 in
-  let ledger : (int * int option * int) list ref = ref [] in
-  let outstanding : (int, pending) Hashtbl.t array =
-    Array.init cfg.clients (fun _ -> Hashtbl.create 64)
-  in
-
-  (* ---------- primary: shard handler threads ---------- *)
-  let server_body i () =
-    let server_end = match t_crash with Some c -> c | None -> max_int in
-    let sync_deadline =
-      match t_crash with Some c -> c | None -> t_stop + grace_ns
-    in
-    let batched = cfg.batch_window > 1 in
-    let handle (m : payload Net.msg) =
-      match m.payload with
-      | Rep _ -> ()
-      | Req r ->
-        let t0 = Sched.now () in
-        let trace = m.trace in
-        ignore
-          (Obs.Span.add_span ~trace ~parent:m.span Obs.Span.Req_wire
-             ~t0:m.sent_at ~t1:m.delivered_at);
-        if t0 > m.delivered_at then
-          ignore
-            (Obs.Span.add_span ~trace ~parent:m.span Obs.Span.Queue
-               ~t0:m.delivered_at ~t1:t0);
-        let sdec = Obs.Span.open_span ~trace ~parent:m.span Obs.Span.Decode in
-        Machine.compute primary 200;
-        Obs.Span.close_span sdec;
-        (* Replication: each mutation ships inside its critical section
-           (right after the local persist, before the lock is released)
-           so every shard's sequenced stream orders exactly as the store
-           applied the mutations.  The seqs of all shipped records are
-           collected so a sync-mode reply can wait on every participant
-           stream. *)
-        let seqs = ref [] in
-        let ship ~sp shard op =
-          seqs :=
-            (shard, Replica.Shipper.ship shipper ~trace ~span:sp ~shard op)
-            :: !seqs
-        in
-        let txn_wait_ok = ref true in
-        let ok, mutated, fin =
-          match r.kind with
-          | KTxn ->
-            let stx = Obs.Span.open_span ~trace ~parent:m.span Obs.Span.Txn in
-            let pmark = Obs.Span.persist_mark () in
-            let amark = Obs.Span.alloc_mark () in
-            let res =
-              Kv.txn svc r.ops ~trace ~span:stx ~on_commit:(fun res ->
-                  let nparts = List.length res.Kv.participants in
-                  let dseqs =
-                    if batched then begin
-                      (* piggybacked decide: every participant's prepare
-                         AND decide records stage in the doorbell buffer
-                         and leave as one frame — the decide stops paying
-                         its own round trip *)
-                      let ds =
-                        List.map
-                          (fun (s, ops) ->
-                            ignore
-                              (Replica.Shipper.ship_buffered shipper
-                                 ~shard:s
-                                 (Replica.Txn_prepare
-                                    { txn = res.Kv.txn_id; ops }));
-                            ( s,
-                              Replica.Shipper.ship_buffered shipper ~shard:s
-                                (Replica.Txn_decide
-                                   { txn = res.Kv.txn_id;
-                                     commit = true;
-                                     nparts }) ))
-                          res.Kv.participants
-                      in
-                      ignore (Replica.Shipper.flush shipper);
-                      ds
-                    end
-                    else
-                      List.map
-                        (fun (s, ops) ->
-                          ignore
-                            (Replica.Shipper.ship shipper ~trace ~span:stx
-                               ~shard:s
-                               (Replica.Txn_prepare
-                                  { txn = res.Kv.txn_id; ops }));
-                          ( s,
-                            Replica.Shipper.ship shipper ~trace ~span:stx
-                              ~shard:s
-                              (Replica.Txn_decide
-                                 { txn = res.Kv.txn_id;
-                                   commit = true;
-                                   nparts }) ))
-                        res.Kv.participants
-                  in
-                  (* 2PC lock discipline: hold the participant locks
-                     until the backup has acked the whole group — in
-                     BOTH modes, not just sync.  Streams are shipped
-                     under these locks, so the wait guarantees the next
-                     transaction touching one of these shards cannot
-                     reach the backup while this group's slots are
-                     still pending; without it a decide lagging on one
-                     stream (loss, retransmit) lets a later prepare
-                     collide with the occupied slot. *)
-                  let sra =
-                    Obs.Span.open_span ~trace ~parent:stx Obs.Span.Repl_ack
-                  in
-                  txn_wait_ok :=
-                    List.for_all
-                      (fun (shard, seq) ->
-                        Replica.Shipper.wait_acked shipper ~shard ~seq
-                          ~deadline:sync_deadline)
-                      dseqs;
-                  Obs.Span.close_span sra)
-            in
-            let pns = Obs.Span.persist_since pmark in
-            let ans = Obs.Span.alloc_since amark in
-            Obs.Span.close_span stx;
-            if pns > 0 then begin
-              let now = Sched.now () in
-              ignore
-                (Obs.Span.add_span ~trace ~parent:stx Obs.Span.Persist
-                   ~t0:(now - pns) ~t1:now)
-            end;
-            if ans > 0 then begin
-              let now = Sched.now () in
-              ignore
-                (Obs.Span.add_span ~trace ~parent:stx Obs.Span.Alloc
-                   ~t0:(now - ans) ~t1:now)
-            end;
-            if res.Kv.committed then incr txn_commits else incr txn_aborts;
-            (res.Kv.committed, res.Kv.committed, res.Kv.fin)
-          | (KGet | KScan) when cfg.mvcc_window > 0 ->
-            (* lock-free snapshot read: no Lock_wait, no shard lock —
-               the read minted a timestamp and resolves against the
-               version chains (KScan becomes a multi-shard merged
-               scan, ordered and consistent at one snapshot) *)
-            let ssn =
-              Obs.Span.open_span ~trace ~parent:m.span Obs.Span.Snapshot
-            in
-            let rmark = Obs.Span.rcache_mark () in
-            let ts = Kv.snapshot svc in
-            let ok =
-              match r.kind with
-              | KGet -> Kv.snapshot_get svc ~ts ~key:r.key <> None
-              | _ ->
-                ignore
-                  (Kv.snapshot_scan svc ~ts ~from_key:r.key ~n:16
-                     (fun _ _ -> ()));
-                true
-            in
-            let rns = Obs.Span.rcache_since rmark in
-            let fin = Sched.now () in
-            Obs.Span.close_span ssn;
-            if rns > 0 then
-              ignore
-                (Obs.Span.add_span ~trace ~parent:ssn Obs.Span.Rcache
-                   ~t0:(fin - rns) ~t1:fin);
-            (ok, false, fin)
-          | _ ->
-            let slw =
-              Obs.Span.open_span ~trace ~parent:m.span Obs.Span.Lock_wait
-            in
-            Machine.Lock.with_lock (Kv.shard_lock svc i) (fun () ->
-                Obs.Span.close_span slw;
-                let sst =
-                  Obs.Span.open_span ~trace ~parent:m.span Obs.Span.Store
-                in
-                let pmark = Obs.Span.persist_mark () in
-                let amark = Obs.Span.alloc_mark () in
-                let rmark = Obs.Span.rcache_mark () in
-                let ok, mutated =
-                  match r.kind with
-                  | KGet -> (Kv.get svc ~key:r.key <> None, false)
-                  | KPut ->
-                    let ok = Kv.put svc ~key:r.key ~vseed:r.vseed in
-                    (ok, ok)
-                  | KDel ->
-                    let ok = Kv.delete svc ~key:r.key in
-                    (ok, ok)
-                  | KScan ->
-                    ignore (Kv.scan svc ~from_key:r.key ~n:16);
-                    (true, false)
-                  | KTxn -> assert false
-                in
-                if mutated then
-                  ship ~sp:sst i
-                    (match r.kind with
-                     | KPut -> Replica.Put { key = r.key; vseed = r.vseed }
-                     | _ -> Replica.Del { key = r.key });
-                let pns = Obs.Span.persist_since pmark in
-                let ans = Obs.Span.alloc_since amark in
-                let rns = Obs.Span.rcache_since rmark in
-                let fin = Sched.now () in
-                Obs.Span.close_span sst;
-                if pns > 0 then
-                  ignore
-                    (Obs.Span.add_span ~trace ~parent:sst Obs.Span.Persist
-                       ~t0:(fin - pns) ~t1:fin);
-                if ans > 0 then
-                  ignore
-                    (Obs.Span.add_span ~trace ~parent:sst Obs.Span.Alloc
-                       ~t0:(fin - ans) ~t1:fin);
-                if rns > 0 then
-                  ignore
-                    (Obs.Span.add_span ~trace ~parent:sst Obs.Span.Rcache
-                       ~t0:(fin - rns) ~t1:fin);
-                (ok, mutated, fin))
-        in
-        (* Sync mode holds the reply until the backup's cumulative ack
-           covers every shipped record — an acked mutation (single op
-           or whole transaction) must survive primary loss.  On wait
-           timeout (crash boundary) the reply is withheld: the client
-           keeps the request outstanding and verification treats its
-           keys as ambiguous rather than guaranteed, which is what
-           makes a promote-time presumed-abort of a half-delivered
-           transaction safe. *)
-        let replicated =
-          if r.kind = KTxn then (not sync) || !txn_wait_ok
-          else if (not sync) || !seqs = [] then true
-          else begin
-            let sra =
-              Obs.Span.open_span ~trace ~parent:m.span Obs.Span.Repl_ack
-            in
-            let acked =
-              List.for_all
-                (fun (shard, seq) ->
-                  Replica.Shipper.wait_acked shipper ~shard ~seq
-                    ~deadline:sync_deadline)
-                !seqs
-            in
-            Obs.Span.close_span sra;
-            acked
-          end
-        in
-        incr handled;
-        Hist.record svc_h (Sched.now () - t0);
-        if replicated then begin
-          let rep = Rep { rid = r.rid; ok; mutated; fin } in
-          if
-            not
-              (Net.try_send ~trace ~span:m.span net
-                 ~dst:(cfg.shards + r.client) rep)
-          then incr reply_drops
-        end
-    in
-    (* Group commit + doorbell batching (batch_window > 1): the group
-       persists as one chunk chain, its replication records stage in
-       the link's doorbell buffer and leave as one frame per chunk, and
-       sync mode pays ONE ack wait for the whole group — each member's
-       wait shows up as a Flush_wait span (waiting for the covering
-       flush), not as queueing behind its predecessors' round trips. *)
-    let is_group_member = function
-      | Req r -> r.kind = KPut || r.kind = KDel
-      | Rep _ -> false
-    in
-    let op_bytes = function
-      | Req { kind = KPut; _ } -> 24 + cfg.value_size
-      | _ -> 24
-    in
-    let rec gather acc n bytes =
-      if
-        n >= cfg.batch_window
-        || (cfg.batch_bytes > 0 && bytes >= cfg.batch_bytes)
-      then (List.rev acc, None)
-      else
-        match Net.recv net ~port:i with
-        | Some m when is_group_member m.Net.payload ->
-          gather (m :: acc) (n + 1) (bytes + op_bytes m.Net.payload)
-        | Some m -> (List.rev acc, Some m)
-        | None -> (List.rev acc, None)
-    in
-    let handle_group msgs =
-      let members =
-        List.map
-          (fun (m : payload Net.msg) ->
-            let rid, client, kind, key, vseed =
-              match m.Net.payload with
-              | Req { rid; client; kind; key; vseed; _ } ->
-                (rid, client, kind, key, vseed)
-              | Rep _ -> assert false
-            in
-            let t0 = Sched.now () in
-            ignore
-              (Obs.Span.add_span ~trace:m.Net.trace ~parent:m.Net.span
-                 Obs.Span.Req_wire ~t0:m.Net.sent_at ~t1:m.Net.delivered_at);
-            if t0 > m.Net.delivered_at then
-              ignore
-                (Obs.Span.add_span ~trace:m.Net.trace ~parent:m.Net.span
-                   Obs.Span.Queue ~t0:m.Net.delivered_at ~t1:t0);
-            let sdec =
-              Obs.Span.open_span ~trace:m.Net.trace ~parent:m.Net.span
-                Obs.Span.Decode
-            in
-            Machine.compute primary 200;
-            Obs.Span.close_span sdec;
-            let sst =
-              Obs.Span.open_span ~trace:m.Net.trace ~parent:m.Net.span
-                Obs.Span.Store
-            in
-            { g_msg = m; g_rid = rid; g_client = client; g_kind = kind;
-              g_key = key; g_vseed = vseed; g_t0 = t0; g_store = sst })
-          msgs
-      in
-      let ops =
-        List.map
-          (fun g ->
-            match g.g_kind with
-            | KPut -> Kv.Tput { key = g.g_key; vseed = g.g_vseed }
-            | KDel -> Kv.Tdel { key = g.g_key }
-            | _ -> assert false)
-          members
-      in
-      (* ship inside the shard lock, per chunk, as one doorbell frame *)
-      let last_seq = ref (-1) in
-      let results =
-        Kv.group_commit svc ~shard:i ops ~on_chunk:(fun ~fin:_ cops ->
-            List.iter
-              (fun op ->
-                let rop =
-                  match op with
-                  | Kv.Tput { key; vseed } -> Replica.Put { key; vseed }
-                  | Kv.Tdel { key } -> Replica.Del { key }
-                in
-                last_seq := Replica.Shipper.ship_buffered shipper ~shard:i rop)
-              cops;
-            ignore (Replica.Shipper.flush shipper))
-      in
-      List.iter (fun g -> Obs.Span.close_span g.g_store) members;
-      (* one cumulative ack wait covers every member of the group *)
-      let replicated =
-        if (not sync) || !last_seq < 0 then true
-        else begin
-          let waits =
-            List.map
-              (fun g ->
-                Obs.Span.open_span ~trace:g.g_msg.Net.trace
-                  ~parent:g.g_msg.Net.span Obs.Span.Flush_wait)
-              members
-          in
-          let acked =
-            Replica.Shipper.wait_acked shipper ~shard:i ~seq:!last_seq
-              ~deadline:sync_deadline
-          in
-          List.iter Obs.Span.close_span waits;
-          acked
-        end
-      in
-      List.iter2
-        (fun g (ok, fin) ->
-          incr handled;
-          Hist.record svc_h (Sched.now () - g.g_t0);
-          if replicated then begin
-            let rep = Rep { rid = g.g_rid; ok; mutated = ok; fin } in
-            if
-              not
-                (Net.try_send ~trace:g.g_msg.Net.trace ~span:g.g_msg.Net.span
-                   net ~dst:(cfg.shards + g.g_client) rep)
-            then incr reply_drops
-          end)
-        members results
-    in
-    let handle_batched m =
-      if is_group_member m.Net.payload then begin
-        let group, leftover = gather [ m ] 1 (op_bytes m.Net.payload) in
-        handle_group group;
-        match leftover with Some m' -> handle m' | None -> ()
-      end
-      else handle m
-    in
-    let rec loop () =
-      if Sched.now () >= server_end then ()
-      else
-        match Net.recv net ~port:i with
-        | Some m ->
-          handle m;
-          loop ()
-        | None ->
-          if !senders = 0 && Net.pending net ~port:i = 0 then ()
-          else begin
-            let until = min server_end (Sched.now () + 100_000) in
-            (match Net.recv_wait net ~port:i ~until with
-             | Some m -> handle m
-             | None -> ());
-            loop ()
-          end
-    in
-    let rec loop_batched () =
-      if Sched.now () >= server_end then ()
-      else
-        match Net.recv net ~port:i with
-        | Some m ->
-          handle_batched m;
-          loop_batched ()
-        | None ->
-          if !senders = 0 && Net.pending net ~port:i = 0 then ()
-          else begin
-            let until = min server_end (Sched.now () + 100_000) in
-            (match Net.recv_wait net ~port:i ~until with
-             | Some m -> handle_batched m
-             | None -> ());
-            loop_batched ()
-          end
-    in
-    if batched then loop_batched () else loop ();
-    decr live_servers
-  in
-
-  (* ---------- primary: replication pump thread ---------- *)
-  let ship_pump_body () =
-    let deadline =
-      match t_crash with Some c -> c | None -> t_stop + (4 * grace_ns)
-    in
-    Replica.Shipper.pump shipper ~until:(fun () -> !live_servers = 0) ~deadline;
-    ship_pump_done := true
-  in
-
-  (* ---------- backup: applier thread ---------- *)
-  let applier_body () =
-    let until =
-      match t_crash with
-      | Some _ ->
-        (* On a crash run the applier stops where the primary's pump
-           stopped; whatever the wire still holds is the tail that the
-           failover replays — and its replay cost is what we charge to
-           the promote RTO. *)
-        fun () -> !ship_pump_done
-      | None ->
-        fun () ->
-          !ship_pump_done && Cluster.Link.pending link ~ep:1 = 0
-    in
-    Replica.Applier.pump applier ~until
-  in
-
-  (* ---------- clients (identical to the unreplicated run) ---------- *)
-  let zipf = Zipf.create ~theta:cfg.zipf_theta cfg.keyspace in
-  let client_body j () =
-    let rng = Prng.create (cfg.seed + (7919 * (j + 1))) in
-    (* a transaction's keys: distinct draws from the same zipfian
-       popularity; ~1 in 4 ops is a strict delete, so transactions
-       abort at a real rate once a hot key is already gone *)
-    let gen_txn_ops rid =
-      let rec pick ks n guard =
-        if n = 0 || guard = 0 then List.rev ks
-        else
-          let k = 1 + Zipf.scrambled zipf rng in
-          if List.mem k ks then pick ks n (guard - 1)
-          else pick (k :: ks) (n - 1) (guard - 1)
-      in
-      List.mapi
-        (fun idx k ->
-          if Prng.int rng 100 < 25 then Kv.Tdel { key = k }
-          else Kv.Tput { key = k; vseed = (rid lsl 4) lor idx })
-        (pick [] cfg.txn_ops (8 * cfg.txn_ops))
-    in
-    let lg =
-      Net.Loadgen.create
-        ~rate:(cfg.rate /. float_of_int cfg.clients)
-        ~seed:(cfg.seed lxor (j * 65537) lxor 0x10AD)
-    in
-    let out = outstanding.(j) in
-    let port = cfg.shards + j in
-    let seq = ref 0 in
-    let drain () =
-      let rec go () =
-        match Net.recv net ~port with
-        | Some { payload = Rep r; delivered_at; sent_at; _ } ->
-          (match Hashtbl.find_opt out r.rid with
-           | Some p ->
-             Hashtbl.remove out r.rid;
-             incr completed;
-             Hist.record lat_h (delivered_at - p.p_sent);
-             (match p.p_kind with
-              | KGet -> Hist.record read_h (delivered_at - p.p_sent)
-              | KScan -> Hist.record scan_h (delivered_at - p.p_sent)
-              | KPut | KDel | KTxn ->
-                Hist.record write_h (delivered_at - p.p_sent));
-             (* the reply's hop back, then the root closes at delivery
-                (not at this drain) so root = measured latency *)
-             ignore
-               (Obs.Span.add_span ~trace:p.p_trace ~parent:p.p_span
-                  Obs.Span.Rep_wire ~t0:sent_at ~t1:delivered_at);
-             Obs.Span.close_span_at p.p_span ~t1:delivered_at;
-             if r.mutated then begin
-               incr acked_mut;
-               match p.p_kind with
-               | KTxn ->
-                 Hist.record txn_lat_h (delivered_at - p.p_sent);
-                 List.iter
-                   (fun o ->
-                     let k, v =
-                       match o with
-                       | Kv.Tput { key; vseed } -> (key, Some vseed)
-                       | Kv.Tdel { key } -> (key, None)
-                     in
-                     ledger := (k, v, r.fin) :: !ledger)
-                   p.p_ops
-               | _ ->
-                 let v = if p.p_kind = KPut then Some p.p_vseed else None in
-                 ledger := (p.p_key, v, r.fin) :: !ledger
-             end
-           | None -> ());
-          go ()
-        | Some _ -> go ()
-        | None -> ()
-      in
-      go ()
-    in
-    let rec send_loop t_next =
-      if t_next >= t_stop then ()
-      else begin
-        let now = Sched.now () in
-        if now < t_next then Sched.sleep (t_next - now);
-        if Sched.now () >= t_stop then ()
-        else begin
-          drain ();
-          let key = 1 + Zipf.scrambled zipf rng in
-          let die = Prng.int rng 100 in
-          incr offered;
-          let rid = (j lsl 32) lor !seq in
-          incr seq;
-          let kind, ops =
-            if die < cfg.read_pct then (KGet, [])
-            else if die < cfg.read_pct + cfg.delete_pct then (KDel, [])
-            else if die < cfg.read_pct + cfg.delete_pct + cfg.scan_pct then
-              (KScan, [])
-            else if
-              die < cfg.read_pct + cfg.delete_pct + cfg.scan_pct + cfg.txn_pct
-            then begin
-              match gen_txn_ops rid with
-              | [] -> (KPut, []) (* key draws starved out: degrade to a put *)
-              | ops -> (KTxn, ops)
-            end
-            else (KPut, [])
-          in
-          (match kind with
-           | KGet -> incr n_read
-           | KScan -> incr n_scan
-           | KPut | KDel | KTxn -> incr n_write);
-          (* a transaction is addressed to its first key's shard; the
-             handler fans out to the other participants itself *)
-          let key = match ops with o :: _ -> txn_op_key o | [] -> key in
-          let dst = Kv.shard_of_key svc key in
-          (* root span opened before the send so its id can ride the
-             envelope; a refused send leaves it open (incomplete) *)
-          let trace = Obs.Span.new_trace () in
-          let root =
-            Obs.Span.open_span ~trace ~parent:(-1) Obs.Span.Request
-          in
-          if
-            Net.try_send ~trace ~span:root net ~dst
-              (Req { rid; client = j; kind; key; vseed = rid; ops })
-          then begin
-            incr admitted;
-            let p_sent = Sched.now () in
-            (* align the root with the send timestamp (the send's CPU
-               charge lands between open_span and here) *)
-            Obs.Span.set_start root ~t0:p_sent;
-            Hashtbl.replace out rid
-              { p_kind = kind;
-                p_key = key;
-                p_vseed = rid;
-                p_ops = ops;
-                p_sent;
-                p_trace = trace;
-                p_span = root }
-          end
-          else incr shed;
-          send_loop (t_next + Net.Loadgen.next_gap_ns lg)
-        end
-      end
-    in
-    send_loop (Net.Loadgen.next_gap_ns lg);
-    decr senders;
-    (match t_crash with
-     | Some _ -> drain ()
-     | None ->
-       let deadline = t_stop + grace_ns in
-       let rec wait () =
-         drain ();
-         if Hashtbl.length out > 0 && Sched.now () < deadline then begin
-           Sched.sleep 10_000;
-           wait ()
-         end
-       in
-       wait ())
-  in
-
-  for i = 0 to cfg.shards - 1 do
-    ignore (Machine.spawn primary ~cpu:i (server_body i))
-  done;
-  ignore (Machine.spawn primary ~cpu:(ncpu - 1) ship_pump_body);
-  ignore (Machine.spawn backup ~cpu:0 applier_body);
-  for j = 0 to cfg.clients - 1 do
-    ignore (Machine.spawn primary ~cpu:(client_cpu j) (client_body j))
-  done;
-  let t_run0 = Sched.horizon (Cluster.engine cluster) in
-  Cluster.run cluster;
-  let sim_ns = Sched.horizon (Cluster.engine cluster) - t_run0 in
-
-  let in_flight_keys = Hashtbl.create 64 in
-  Array.iter
-    (fun out ->
-      Hashtbl.iter
-        (fun _ p ->
-          match p.p_kind with
-          | KPut | KDel -> Hashtbl.replace in_flight_keys p.p_key ()
-          | KTxn ->
-            List.iter
-              (fun o -> Hashtbl.replace in_flight_keys (txn_op_key o) ())
-              p.p_ops
-          | KGet | KScan -> ())
-        out)
-    outstanding;
-  let in_flight_at_crash = Hashtbl.length in_flight_keys in
-
-  let verify store =
-    let expected = Hashtbl.create (preload_n + 64) in
-    for k = 1 to preload_n do
-      Hashtbl.replace expected k (Some k)
-    done;
-    let entries =
-      List.sort (fun (_, _, a) (_, _, b) -> compare a b) !ledger
-    in
-    List.iter (fun (k, v, _) -> Hashtbl.replace expected k v) entries;
-    Hashtbl.iter
-      (fun k () ->
-        if not (Hashtbl.mem expected k) then Hashtbl.replace expected k None)
-      in_flight_keys;
-    let checked = ref 0 and ambiguous = ref 0 and mismatches = ref 0 in
-    Hashtbl.iter
-      (fun k exp ->
-        if Hashtbl.mem in_flight_keys k then incr ambiguous
-        else begin
-          incr checked;
-          let got = Kv.get store ~key:k in
-          let want =
-            Option.map (fun vs -> Kv.value_checksum store ~vseed:vs) exp
-          in
-          if got <> want then incr mismatches
-        end)
-      expected;
-    { checked = !checked; ambiguous = !ambiguous; mismatches = !mismatches }
-  in
-
-  let tail_replayed = ref 0 in
-  let crashed, rto_ns, ledger_rep, backup_ledger =
-    match t_crash with
-    | None ->
-      (* clean run: primary serves; the backup must have converged to
-         the same acked state (the shipper pump runs until fully
-         acked) — report its ledger check alongside *)
-      (false, 0, verify svc, Some (verify svc_b))
-    | Some _ ->
+      (int_of_float (secs *. 1e9), Some reco, verify svc', None, (0, 0))
+    | Replicated rp, Some _ ->
       (* the primary machine is gone — wipe its unfenced state to make
          the point, then promote the backup: seal the shipped log,
          replay the in-order tail the wire had delivered, and serve.
          The promote makespan is the failover RTO. *)
-      Nvmm.Memdev.crash (Machine.dev primary) `Strict;
+      Nvmm.Memdev.crash (Machine.dev mach) `Strict;
+      let tail = ref 0 and indoubt = ref 0 in
       let secs =
-        Machine.parallel backup ~threads:1 (fun _ ->
+        Machine.parallel rp.backup ~threads:1 (fun _ ->
             (* the log is sealed at promote start: records the wire has
                not yet delivered are cut off — none of them was ever
                acked (an ack implies the backup already applied) *)
             let sealed_at = Sched.now () in
-            Machine.compute backup 1_000 (* failover decision + seal *);
-            tail_replayed :=
-              Replica.Applier.seal_and_replay applier ~sealed_at;
+            Machine.compute rp.backup 1_000 (* failover decision + seal *);
+            tail := Replica.Applier.seal_and_replay rp.applier ~sealed_at;
             (* role change: flush the promoted member's magazine bins
                back to its allocator so it starts clean (the reclaim
                cost is part of the promote makespan) *)
-            Option.iter Tcache.reset tch_b;
+            Option.iter Tcache.reset rp.tch_b;
             (* prepares whose decide died with the primary: presumed
                abort — none of those transactions was ever acked *)
-            indoubt_aborted := Kv.txn_resolve_indoubt svc_b)
+            indoubt := Kv.txn_resolve_indoubt rp.svc_b)
       in
-      Kv.check svc_b;
-      (true, int_of_float (secs *. 1e9), verify svc_b, None)
+      Kv.check rp.svc_b;
+      let ledger = verify rp.svc_b in
+      (int_of_float (secs *. 1e9), None, ledger, None, (!tail, !indoubt))
+  in
+  let crashed = t_crash <> None in
+  (* store gauges: mvcc and rcache from the store serving at the end
+     of the run, tcache from the serving machine's allocator cache *)
+  let live =
+    match backend with Replicated rp when crashed -> rp.svc_b | _ -> svc
+  in
+  let truncated = Kv.mvcc_truncated_reads live in
+  let chains = Kv.mvcc_shard_chains live in
+  let tstats = Option.map Tcache.stats tch in
+  let rstats =
+    if cfg.rcache_entries > 0 then Some (Kv.rcache_stats live) else None
   in
 
-  let queue_max_depth = ref 0 in
-  for i = 0 to cfg.shards - 1 do
-    let s = Net.stats net ~port:i in
-    if s.Net.max_depth > !queue_max_depth then queue_max_depth := s.Net.max_depth
-  done;
-
-  let acked_records =
-    let n = ref 0 in
-    for s = 0 to cfg.shards - 1 do
-      n := !n + Replica.Shipper.acked shipper ~shard:s + 1
-    done;
-    !n
+  let queue_max_depth =
+    let depth i = (Net.stats net ~port:i).Net.max_depth in
+    List.fold_left max 0 (List.init cfg.shards depth)
   in
-  let lstats = Cluster.Link.stats link ~ep:1 in
-  let astats = Cluster.Link.stats link ~ep:0 in
 
   let secs = float_of_int t_stop /. 1e9 in
-  let scope = cfg.scope in
-  let g name v = Obs.Metrics.set_gauge ~scope name v in
-  g "offered" (float_of_int !offered);
-  g "admitted" (float_of_int !admitted);
-  g "shed" (float_of_int !shed);
-  g "handled" (float_of_int !handled);
-  g "completed" (float_of_int !completed);
-  g "acked_mutations" (float_of_int !acked_mut);
-  g "reply_drops" (float_of_int !reply_drops);
-  g "queue_max_depth" (float_of_int !queue_max_depth);
-  g "rto_ns" (float_of_int rto_ns);
-  g "repl_shipped" (float_of_int (Replica.Shipper.shipped shipper));
-  g "repl_acked_records" (float_of_int acked_records);
-  g "repl_retransmits" (float_of_int (Replica.Shipper.retransmits shipper));
-  g "repl_max_lag" (float_of_int (Replica.Shipper.max_lag shipper));
-  g "repl_backup_applied" (float_of_int (Replica.Applier.applied applier));
-  g "repl_link_dropped" (float_of_int (lstats.Cluster.Link.dropped + astats.Cluster.Link.dropped));
-  g "repl_link_duplicated" (float_of_int (lstats.Cluster.Link.duplicated + astats.Cluster.Link.duplicated));
-  g "repl_tail_replayed" (float_of_int !tail_replayed);
-  g "repl_indoubt_aborted" (float_of_int !indoubt_aborted);
-  g "txn_committed" (float_of_int !txn_commits);
-  g "txn_aborted" (float_of_int !txn_aborts);
-  g "ops_read" (float_of_int !n_read);
-  g "ops_write" (float_of_int !n_write);
-  g "ops_scan" (float_of_int !n_scan);
-  (let live = if crashed then svc_b else svc in
-   g "mvcc_truncated_reads" (float_of_int (Kv.mvcc_truncated_reads live));
-   Array.iteri
-     (fun i (chains, versions) ->
-       let sscope = Printf.sprintf "%s/shard%d" scope i in
-       Obs.Metrics.set_gauge ~scope:sscope "mvcc_chains"
-         (float_of_int chains);
-       Obs.Metrics.set_gauge ~scope:sscope "mvcc_chain_versions"
-         (float_of_int versions))
-     (Kv.mvcc_shard_chains live));
-  (match tch_p with
-   | Some t ->
-     let hits, misses, refills, flushes = Tcache.stats t in
-     g "tcache_hits" (float_of_int hits);
-     g "tcache_misses" (float_of_int misses);
-     g "tcache_bin_refills" (float_of_int refills);
-     g "tcache_bin_flushes" (float_of_int flushes)
-   | None -> ());
-  if cfg.rcache_entries > 0 then begin
-    (* the store that actually served reads at the end of the run *)
-    let live = if crashed then svc_b else svc in
-    let hits, misses, evictions, invalidations = Kv.rcache_stats live in
-    g "rcache_hits" (float_of_int hits);
-    g "rcache_misses" (float_of_int misses);
-    g "rcache_evictions" (float_of_int evictions);
-    g "rcache_invalidations" (float_of_int invalidations)
-  end;
-  Hist.merge ~into:(Obs.Metrics.log_histogram ~scope "latency_ns") lat_h;
-  Hist.merge ~into:(Obs.Metrics.log_histogram ~scope "service_ns") svc_h;
-  Hist.merge ~into:(Obs.Metrics.log_histogram ~scope "repl_lag_ns") repl_lag_h;
-  Hist.merge ~into:(Obs.Metrics.log_histogram ~scope "txn_latency_ns") txn_lat_h;
-  Hist.merge ~into:(Obs.Metrics.log_histogram ~scope "read_latency_ns") read_h;
-  Hist.merge ~into:(Obs.Metrics.log_histogram ~scope "write_latency_ns") write_h;
-  Hist.merge ~into:(Obs.Metrics.log_histogram ~scope "scan_latency_ns") scan_h;
-
   let base =
     { offered = !offered;
       admitted = !admitted;
@@ -1732,10 +943,10 @@ let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
       service = percentiles_of svc_h;
       crashed;
       rto_ns;
-      recovery = None;
+      recovery;
       ledger = ledger_rep;
       in_flight_at_crash;
-      queue_max_depth = !queue_max_depth;
+      queue_max_depth;
       txns_committed = !txn_commits;
       txns_aborted = !txn_aborts;
       txn_latency = percentiles_of txn_lat_h;
@@ -1746,18 +957,147 @@ let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
       ops_write = !n_write;
       ops_scan = !n_scan }
   in
-  { base;
-    shipped = Replica.Shipper.shipped shipper;
-    acked_records;
-    retransmits = Replica.Shipper.retransmits shipper;
-    max_lag = Replica.Shipper.max_lag shipper;
-    link_dropped = lstats.Cluster.Link.dropped + astats.Cluster.Link.dropped;
-    link_duplicated =
-      lstats.Cluster.Link.duplicated + astats.Cluster.Link.duplicated;
-    link_flushes =
-      lstats.Cluster.Link.flushes + astats.Cluster.Link.flushes;
-    backup_applied = Replica.Applier.applied applier;
-    tail_replayed = !tail_replayed;
-    indoubt_aborted = !indoubt_aborted;
-    backup_ledger;
-    sync }
+  let repl =
+    match backend with
+    | Local _ -> None
+    | Replicated rp ->
+      let acked s = Replica.Shipper.acked rp.shipper ~shard:s + 1 in
+      (* a link counter summed over both directions *)
+      let both f =
+        let stats ep = Cluster.Link.stats rp.link ~ep in
+        f (stats 1) + f (stats 0)
+      in
+      Some
+        { base;
+          shipped = Replica.Shipper.shipped rp.shipper;
+          acked_records = List.fold_left ( + ) 0 (List.init cfg.shards acked);
+          retransmits = Replica.Shipper.retransmits rp.shipper;
+          max_lag = Replica.Shipper.max_lag rp.shipper;
+          link_dropped = both (fun s -> s.Cluster.Link.dropped);
+          link_duplicated = both (fun s -> s.Cluster.Link.duplicated);
+          link_flushes = both (fun s -> s.Cluster.Link.flushes);
+          backup_applied = Replica.Applier.applied rp.applier;
+          tail_replayed;
+          indoubt_aborted = indoubt;
+          backup_ledger;
+          sync = rp.sync }
+  in
+
+  let scope = cfg.scope in
+  let g name v = Obs.Metrics.set_gauge ~scope name (float_of_int v) in
+  g "offered" !offered;
+  g "admitted" !admitted;
+  g "shed" !shed;
+  g "handled" !handled;
+  g "completed" !completed;
+  g "acked_mutations" !acked_mut;
+  g "reply_drops" !reply_drops;
+  g "queue_max_depth" queue_max_depth;
+  g "rto_ns" rto_ns;
+  Option.iter
+    (fun rr ->
+      g "repl_shipped" rr.shipped;
+      g "repl_acked_records" rr.acked_records;
+      g "repl_retransmits" rr.retransmits;
+      g "repl_max_lag" rr.max_lag;
+      g "repl_backup_applied" rr.backup_applied;
+      g "repl_link_dropped" rr.link_dropped;
+      g "repl_link_duplicated" rr.link_duplicated;
+      g "repl_tail_replayed" rr.tail_replayed;
+      g "repl_indoubt_aborted" rr.indoubt_aborted)
+    repl;
+  g "txn_committed" !txn_commits;
+  g "txn_aborted" !txn_aborts;
+  g "ops_read" !n_read;
+  g "ops_write" !n_write;
+  g "ops_scan" !n_scan;
+  g "mvcc_truncated_reads" truncated;
+  Array.iteri
+    (fun i (chains, versions) ->
+      let scope = Printf.sprintf "%s/shard%d" scope i in
+      Obs.Metrics.set_gauge ~scope "mvcc_chains" (float_of_int chains);
+      Obs.Metrics.set_gauge ~scope "mvcc_chain_versions"
+        (float_of_int versions))
+    chains;
+  Option.iter
+    (fun (hits, misses, refills, flushes) ->
+      g "tcache_hits" hits;
+      g "tcache_misses" misses;
+      g "tcache_bin_refills" refills;
+      g "tcache_bin_flushes" flushes)
+    tstats;
+  Option.iter
+    (fun (hits, misses, evictions, invalidations) ->
+      g "rcache_hits" hits;
+      g "rcache_misses" misses;
+      g "rcache_evictions" evictions;
+      g "rcache_invalidations" invalidations)
+    rstats;
+  let h name hist =
+    Hist.merge ~into:(Obs.Metrics.log_histogram ~scope name) hist
+  in
+  h "latency_ns" lat_h;
+  h "service_ns" svc_h;
+  (match backend with
+   | Replicated rp -> h "repl_lag_ns" rp.lag_h
+   | Local _ -> ());
+  h "txn_latency_ns" txn_lat_h;
+  h "read_latency_ns" read_h;
+  h "write_latency_ns" write_h;
+  h "scan_latency_ns" scan_h;
+  (base, repl)
+
+(* ---------- entry points: set up stores and backend, then serve ---------- *)
+
+let run ~make ~reattach cfg =
+  let who = "Server.run" in
+  validate who cfg;
+  let mach, inst = make () in
+  let inst, tch = wrap_tcache cfg inst in
+  check_cpus who cfg (Machine.cfg mach).Machine.Config.num_cpus;
+  let svc = create_store cfg inst in
+  preload who cfg [ svc ] [ mach ];
+  fst (serve cfg ~mach ~svc ~tch (Local reattach))
+
+let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
+  let who = "Server.run_replicated" in
+  validate who cfg;
+  if rcfg.wire_ns < 1 then invalid_arg (who ^ ": wire_ns < 1");
+  let cluster = Cluster.create ~cfg:mcfg ~machines:2 () in
+  let primary = Cluster.machine cluster 0 in
+  let backup = Cluster.machine cluster 1 in
+  check_cpus who cfg mcfg.Machine.Config.num_cpus;
+  let inst_p, tch = wrap_tcache cfg (make primary) in
+  let inst_b, tch_b = wrap_tcache cfg (make backup) in
+  let svc = create_store cfg inst_p in
+  (* the backup grows chains too (group-installed, like the primary)
+     so a promotion can serve snapshots at once — and caches reads the
+     same way, its entries invalidated by the replicated applies *)
+  let svc_b = create_store cfg inst_b in
+  preload who cfg [ svc; svc_b ] [ primary; backup ];
+  let link : Replica.msg Cluster.Link.t =
+    Cluster.Link.create ~wire_ns:rcfg.wire_ns ~capacity:1024
+      ~drop_pct:rcfg.link_drop_pct ~dup_pct:rcfg.link_dup_pct
+      ~seed:(cfg.seed lxor 0x5EA) ()
+  in
+  let repl_cfg =
+    { Replica.mode = rcfg.repl_mode;
+      window = rcfg.repl_window;
+      retransmit_ns = rcfg.retransmit_ns;
+      poll_ns = 400 }
+  in
+  let shipper = Replica.Shipper.create repl_cfg ~shards:cfg.shards ~link in
+  let lag_h = Hist.create () in
+  let applier =
+    Replica.Applier.create repl_cfg ~shards:cfg.shards ~link
+      ~ack_batch:(cfg.batch_window > 1)
+      ~on_apply:(fun ~lat_ns -> Hist.record lag_h lat_ns)
+      ~apply:(fun ~shard op -> Txn.apply_replicated svc_b ~shard op)
+      ~apply_group:(fun ~shard ops ->
+        Txn.apply_replicated_group svc_b ~shard ops)
+  in
+  let rp =
+    { sync = rcfg.repl_mode = Replica.Sync;
+      backup; svc_b; tch_b; link; shipper; applier; lag_h }
+  in
+  Option.get (snd (serve cfg ~mach:primary ~svc ~tch (Replicated rp)))
