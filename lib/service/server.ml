@@ -812,6 +812,14 @@ let serve cfg ~mach ~svc ~tch backend =
   let t_run0 = Sched.horizon (Machine.engine mach) in
   Machine.run mach;
   let sim_ns = Sched.horizon (Machine.engine mach) - t_run0 in
+  (* store gauges, sampled at the cut from the store and allocator that
+     served the traffic: the ledger check below reads every key *)
+  let truncated = Kv.mvcc_truncated_reads svc in
+  let chains = Kv.mvcc_shard_chains svc in
+  let tstats = Option.map Tcache.stats tch in
+  let rstats =
+    if cfg.rcache_entries > 0 then Some (Kv.rcache_stats svc) else None
+  in
 
   (* mutations never acked: their keys are ambiguous for verification *)
   let in_flight_keys = Hashtbl.create 64 in
@@ -911,18 +919,6 @@ let serve cfg ~mach ~svc ~tch backend =
       let ledger = verify rp.svc_b in
       (int_of_float (secs *. 1e9), None, ledger, None, (!tail, !indoubt))
   in
-  let crashed = t_crash <> None in
-  (* store gauges: mvcc and rcache from the store serving at the end
-     of the run, tcache from the serving machine's allocator cache *)
-  let live =
-    match backend with Replicated rp when crashed -> rp.svc_b | _ -> svc
-  in
-  let truncated = Kv.mvcc_truncated_reads live in
-  let chains = Kv.mvcc_shard_chains live in
-  let tstats = Option.map Tcache.stats tch in
-  let rstats =
-    if cfg.rcache_entries > 0 then Some (Kv.rcache_stats live) else None
-  in
 
   let queue_max_depth =
     let depth i = (Net.stats net ~port:i).Net.max_depth in
@@ -941,7 +937,7 @@ let serve cfg ~mach ~svc ~tch backend =
       goodput = float_of_int !completed /. secs;
       latency = percentiles_of lat_h;
       service = percentiles_of svc_h;
-      crashed;
+      crashed = t_crash <> None;
       rto_ns;
       recovery;
       ledger = ledger_rep;

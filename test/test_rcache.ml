@@ -265,6 +265,53 @@ let test_rcache_broken_flagged () =
   check "checker flags invalidate-after-reply" true
     (r.Crashcheck.counterexamples <> [])
 
+(* ---------- serve gauges ---------- *)
+
+(* The store gauges describe the traffic: they are sampled at the cut
+   from the store that served it, before the ledger check reads every
+   key of the store that serves on.  Every probe is a read request, so
+   a run can never report more probes than the reads it generated —
+   on a clean run and after a failover alike. *)
+let test_serve_gauges_count_traffic_only () =
+  let module S = Service.Server in
+  let cfg scope =
+    { S.default_config with
+      S.read_pct = 60;
+      scan_pct = 0;
+      rcache_entries = 64;
+      duration = 0.005;
+      scope }
+  in
+  let probes scope =
+    let gauge name =
+      Option.value ~default:0. (Obs.Metrics.get_gauge ~scope name)
+    in
+    int_of_float (gauge "rcache_hits" +. gauge "rcache_misses")
+  in
+  let factory = Workloads.Factories.poseidon () in
+  let local = "test/rcache/serve-local" in
+  let r =
+    S.run
+      ~make:(fun () -> factory.Workloads.Factories.make ())
+      ~reattach:(fun mach ->
+        Poseidon.instance
+          (H.attach mach ~base:Workloads.Factories.heap_base ()))
+      (cfg local)
+  in
+  check "local run probed the cache" true (probes local > 0);
+  check "local: probes <= reads" true (probes local <= r.S.ops_read);
+  let repl = "test/rcache/serve-failover" in
+  let rr =
+    S.run_replicated
+      ~make:(fun mach -> Workloads.Factories.poseidon_on mach)
+      { (cfg repl) with S.crash_at = Some 0.5 }
+      S.default_repl_config
+  in
+  check "failed over" true rr.S.base.S.crashed;
+  check "failover run probed the cache" true (probes repl > 0);
+  check "failover: probes <= reads" true
+    (probes repl <= rr.S.base.S.ops_read)
+
 let () =
   Alcotest.run "rcache"
     [ ( "substrate",
@@ -293,4 +340,7 @@ let () =
         [ Alcotest.test_case "kv-rcache-put sweep green" `Quick
             test_kv_rcache_sweep_green;
           Alcotest.test_case "rcache-broken flagged" `Quick
-            test_rcache_broken_flagged ] ) ]
+            test_rcache_broken_flagged ] );
+      ( "serve",
+        [ Alcotest.test_case "gauges count traffic, not verification"
+            `Quick test_serve_gauges_count_traffic_only ] ) ]
