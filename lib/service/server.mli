@@ -19,7 +19,22 @@
     acked mutations.  Requests in flight at the cut are ambiguous
     (either outcome is legal) and are reported, not checked.  The
     sub-request crash space is covered exhaustively by the [kv-put] /
-    [kv-delete] / [kv-txn] crashcheck scenarios. *)
+    [kv-delete] / [kv-txn] crashcheck scenarios.
+
+    One pipeline, two durability backends: {!run} and {!run_replicated}
+    set up their stores and serve through the same request path —
+    client generator, admission, handlers, group commit, serve loop,
+    ledger and metrics.  They differ only in where an acked mutation's
+    durability comes from: the serving machine's own persist ([run]:
+    a crash re-attaches the heap), or that persist plus a backup
+    machine's ([run_replicated]: mutations ship inside their critical
+    section, sync replies wait for the backup's ack, a crash promotes
+    the backup).
+
+    Store gauges ([mvcc_*], [tcache_*], [rcache_*]) are sampled at the
+    cut from the store that served the traffic — the primary's, also
+    after a failover — before the ledger check reads every key, so
+    they count client requests only. *)
 
 type config = {
   shards : int;
@@ -148,9 +163,9 @@ val run :
 
 (** {2 Replicated serving}
 
-    The same traffic harness on a two-machine {!Cluster}: the primary
-    serves clients exactly as {!run} does, and every applied mutation
-    is also shipped (per-shard sequence numbers, go-back-N) over an
+    The same request pipeline on a two-machine {!Cluster}, with the
+    replicated durability backend: the primary serves clients exactly
+    as {!run} does, and every applied mutation is also shipped (per-shard sequence numbers, go-back-N) over an
     inter-machine link to a backup machine that applies it into its
     own persistent store.  In [Sync] mode a mutation's reply is held
     until the backup's cumulative ack covers it — an acked write then
@@ -165,7 +180,8 @@ val run :
     promote makespan is the failover RTO ([base.rto_ns]), directly
     comparable with {!run}'s replay-on-restart RTO under the same
     traffic and seed; the ledger of acked mutations is verified
-    against the {e backup}. *)
+    against the {e backup}, while the store gauges still describe the
+    primary that served the traffic. *)
 
 type repl_config = {
   repl_mode : Replica.mode;

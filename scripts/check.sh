@@ -2,7 +2,7 @@
 # Tier-1 verification: shell lint, full build, every test suite, the
 # persistency-model-checker gates (including the cross-shard 2PC
 # protocol and its seeded-mutation sanity check), crash/failover serve
-# smokes, and a benchmark determinism gate.
+# smokes, the golden serve gate and a benchmark determinism gate.
 #
 # Every randomized gate runs under CRASH_SEED (default 42), and a red
 # run prints the failing step plus the seed, so a CI failure replays
@@ -210,107 +210,18 @@ for g in test/golden/serve-*.json; do
   fi
 done
 rm -rf "$tmpdir"
-# batching identity gate: --batch-window 1 must route every request
-# down the pre-batching per-op path, so a replicated serve run with
-# the flag spelled out is byte-identical (modulo the git rev line) to
-# the same run without it.  Catches any drift where window 1 silently
-# starts taking the grouped path.
-step="batch window-1 identity gate"
-tmpdir="$(mktemp -d)"
-dune exec bin/main.exe -- serve --replicate --shards 2 --clients 8 \
-  --rate 40000 --duration 0.005 --seed "$CRASH_SEED" \
-  --json-out "$tmpdir/plain.json" > /dev/null
-dune exec bin/main.exe -- serve --replicate --shards 2 --clients 8 \
-  --rate 40000 --duration 0.005 --seed "$CRASH_SEED" \
-  --batch-window 1 --json-out "$tmpdir/w1.json" > /dev/null
-sed 's/"rev":[^,}]*//' "$tmpdir/plain.json" > "$tmpdir/plain.norm"
-sed 's/"rev":[^,}]*//' "$tmpdir/w1.json" > "$tmpdir/w1.norm"
-if ! diff -u "$tmpdir/plain.norm" "$tmpdir/w1.norm" > /dev/null; then
-  echo "check: serve --batch-window 1 DIVERGES from the unbatched path:" >&2
-  diff -u "$tmpdir/plain.norm" "$tmpdir/w1.norm" >&2 || true
-  rm -rf "$tmpdir"
-  exit 1
-fi
-rm -rf "$tmpdir"
-# MVCC identity gate: --mvcc-window 0 must route every get/scan down
-# the pre-MVCC locked read path, so a serve run with the flag spelled
-# out is byte-identical (modulo the git rev line) to the same run
-# without it.  Catches any drift where window 0 silently starts
-# minting snapshots.
-step="mvcc window-0 identity gate"
-tmpdir="$(mktemp -d)"
-dune exec bin/main.exe -- serve --shards 2 --clients 8 \
-  --rate 40000 --duration 0.005 --read-pct 60 --scan-pct 10 \
-  --seed "$CRASH_SEED" --json-out "$tmpdir/plain.json" > /dev/null
-dune exec bin/main.exe -- serve --shards 2 --clients 8 \
-  --rate 40000 --duration 0.005 --read-pct 60 --scan-pct 10 \
-  --seed "$CRASH_SEED" --mvcc-window 0 --json-out "$tmpdir/w0.json" \
-  > /dev/null
-sed 's/"rev":[^,}]*//' "$tmpdir/plain.json" > "$tmpdir/plain.norm"
-sed 's/"rev":[^,}]*//' "$tmpdir/w0.json" > "$tmpdir/w0.norm"
-if ! diff -u "$tmpdir/plain.norm" "$tmpdir/w0.norm" > /dev/null; then
-  echo "check: serve --mvcc-window 0 DIVERGES from the plain read path:" >&2
-  diff -u "$tmpdir/plain.norm" "$tmpdir/w0.norm" >&2 || true
-  rm -rf "$tmpdir"
-  exit 1
-fi
-rm -rf "$tmpdir"
 # MVCC serve smoke: snapshot reads under a mid-traffic crash; exits
 # non-zero if the recovered store loses any acked write.
 step="serve mvcc crash smoke"
 dune exec bin/main.exe -- serve --shards 2 --clients 8 --rate 40000 \
   --duration 0.005 --read-pct 60 --scan-pct 10 --mvcc-window 8 \
   --crash-at 0.5 --seed "$CRASH_SEED" > /dev/null
-# tcache identity gate: --tcache-mag 0 must bypass the magazine cache
-# entirely, so a serve run with the flag spelled out is byte-identical
-# (modulo the git rev line) to the same run without it.  Catches any
-# drift where mag 0 silently starts caching allocations.
-step="tcache mag-0 identity gate"
-tmpdir="$(mktemp -d)"
-dune exec bin/main.exe -- serve --shards 2 --clients 8 \
-  --rate 40000 --duration 0.005 --seed "$CRASH_SEED" \
-  --json-out "$tmpdir/plain.json" > /dev/null
-dune exec bin/main.exe -- serve --shards 2 --clients 8 \
-  --rate 40000 --duration 0.005 --seed "$CRASH_SEED" \
-  --tcache-mag 0 --json-out "$tmpdir/m0.json" > /dev/null
-sed 's/"rev":[^,}]*//' "$tmpdir/plain.json" > "$tmpdir/plain.norm"
-sed 's/"rev":[^,}]*//' "$tmpdir/m0.json" > "$tmpdir/m0.norm"
-if ! diff -u "$tmpdir/plain.norm" "$tmpdir/m0.norm" > /dev/null; then
-  echo "check: serve --tcache-mag 0 DIVERGES from the uncached path:" >&2
-  diff -u "$tmpdir/plain.norm" "$tmpdir/m0.norm" >&2 || true
-  rm -rf "$tmpdir"
-  exit 1
-fi
-rm -rf "$tmpdir"
 # tcache serve smoke: cached allocation under a mid-traffic crash;
 # exits non-zero if the recovered store loses any acked write.
 step="serve tcache crash smoke"
 dune exec bin/main.exe -- serve --shards 2 --clients 8 --rate 40000 \
   --duration 0.005 --tcache-mag 4 --crash-at 0.5 --seed "$CRASH_SEED" \
   > /dev/null
-# rcache identity gate: --rcache-entries 0 must bypass the read cache
-# entirely — no probe charge, no statistics — so a serve run with the
-# flag spelled out is byte-identical (modulo the git rev line) to the
-# same run without it.  Catches any drift where entries 0 silently
-# starts probing.
-step="rcache entries-0 identity gate"
-tmpdir="$(mktemp -d)"
-dune exec bin/main.exe -- serve --shards 2 --clients 8 \
-  --rate 40000 --duration 0.005 --read-pct 60 --scan-pct 10 \
-  --seed "$CRASH_SEED" --json-out "$tmpdir/plain.json" > /dev/null
-dune exec bin/main.exe -- serve --shards 2 --clients 8 \
-  --rate 40000 --duration 0.005 --read-pct 60 --scan-pct 10 \
-  --seed "$CRASH_SEED" --rcache-entries 0 --json-out "$tmpdir/e0.json" \
-  > /dev/null
-sed 's/"rev":[^,}]*//' "$tmpdir/plain.json" > "$tmpdir/plain.norm"
-sed 's/"rev":[^,}]*//' "$tmpdir/e0.json" > "$tmpdir/e0.norm"
-if ! diff -u "$tmpdir/plain.norm" "$tmpdir/e0.norm" > /dev/null; then
-  echo "check: serve --rcache-entries 0 DIVERGES from the cacheless path:" >&2
-  diff -u "$tmpdir/plain.norm" "$tmpdir/e0.norm" >&2 || true
-  rm -rf "$tmpdir"
-  exit 1
-fi
-rm -rf "$tmpdir"
 # rcache serve smoke: cached reads under a mid-traffic crash (the
 # cache is volatile, so recovery restarts it empty); exits non-zero
 # if the recovered store loses any acked write or any cached read
@@ -321,4 +232,4 @@ dune exec bin/main.exe -- serve --shards 2 --clients 8 --rate 40000 \
   --crash-at 0.5 --seed "$CRASH_SEED" > /dev/null
 
 step="done"
-echo "check: lint + build + tests + crashcheck (incl. 2PC + batching + MVCC + tcache + rcache gates) + serve/txn/failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache identity OK"
+echo "check: lint + build + tests + crashcheck (incl. 2PC + batching + MVCC + tcache + rcache gates) + serve/txn/failover/mvcc/tcache/rcache smokes + trace validity + determinism + golden serve OK"

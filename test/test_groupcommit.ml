@@ -309,15 +309,9 @@ let base_cfg =
     scope = "test/groupcommit" }
 
 let test_window1_identity () =
-  (* batch_window = 1 routes every request through the pre-batching
-     loop verbatim: an explicit window-1 run is indistinguishable from
-     a default run, field for field *)
-  let r1 = serve { base_cfg with S.scope = "test/groupcommit/w1a" } in
-  let r2 =
-    serve { base_cfg with S.batch_window = 1; scope = "test/groupcommit/w1b" }
-  in
-  check "window 1 is the pre-batching path, bit-identically" true (r1 = r2);
-  (* and a genuinely batched run still serves correctly *)
+  (* batch_window = 1 (the default) is the per-op path, pinned against
+     recorded results by the golden serve gate in scripts/check.sh; a
+     genuinely batched run must still serve correctly *)
   let r4 =
     serve { base_cfg with S.batch_window = 4; scope = "test/groupcommit/w4" }
   in

@@ -134,6 +134,52 @@ let test_backpressure_sheds () =
     (r.S.goodput < 2_000_000. /. 2.);
   check_int "shedding loses no acked write" 0 r.S.ledger.S.mismatches
 
+(* Every nonsensical config is refused up front by both entry points,
+   with an [Invalid_argument] naming the entry point that refused it. *)
+let test_invalid_configs () =
+  let invalid =
+    [ ("shards", { base_cfg with S.shards = 0 });
+      ("clients", { base_cfg with S.clients = 0 });
+      ("rate", { base_cfg with S.rate = 0. });
+      ("duration", { base_cfg with S.duration = 0. });
+      ("op mix > 100", { base_cfg with S.read_pct = 60; txn_pct = 40 });
+      ("txn_ops 0", { base_cfg with S.txn_ops = 0 });
+      ("txn_ops > max", { base_cfg with S.txn_ops = Kv.max_txn_ops + 1 });
+      ("batch_window", { base_cfg with S.batch_window = 0 });
+      ("batch_bytes", { base_cfg with S.batch_bytes = -1 });
+      ("mvcc_window", { base_cfg with S.mvcc_window = -1 });
+      ("tcache_mag", { base_cfg with S.tcache_mag = -1 });
+      ("rcache_entries", { base_cfg with S.rcache_entries = -1 });
+      ("crash_at 0", { base_cfg with S.crash_at = Some 0. });
+      ("crash_at 1", { base_cfg with S.crash_at = Some 1. });
+      ("shards > CPUs", { base_cfg with S.shards = 1000 }) ]
+  in
+  let rejects who name f =
+    let prefix = who ^ ":" in
+    check
+      (Printf.sprintf "%s rejects %s" who name)
+      true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument msg ->
+         String.length msg > String.length prefix
+         && String.sub msg 0 (String.length prefix) = prefix)
+  in
+  let repl_serve cfg rcfg =
+    S.run_replicated
+      ~make:(fun mach -> Workloads.Factories.poseidon_on mach)
+      cfg rcfg
+  in
+  List.iter
+    (fun (name, cfg) ->
+      rejects "Server.run" name (fun () -> ignore (serve cfg));
+      rejects "Server.run_replicated" name (fun () ->
+          ignore (repl_serve cfg S.default_repl_config)))
+    invalid;
+  rejects "Server.run_replicated" "wire_ns 0" (fun () ->
+      ignore (repl_serve base_cfg { S.default_repl_config with S.wire_ns = 0 }))
+
 (* ---------- crashcheck sweep of the KV write path ---------- *)
 
 let test_crashcheck_kv () =
@@ -161,7 +207,9 @@ let () =
           Alcotest.test_case "crash run: recovery + nonzero RTO" `Quick
             test_crash_run;
           Alcotest.test_case "overload sheds instead of deadlocking" `Quick
-            test_backpressure_sheds ] );
+            test_backpressure_sheds;
+          Alcotest.test_case "invalid configs rejected by both entry points"
+            `Quick test_invalid_configs ] );
       ( "crashcheck",
         [ Alcotest.test_case "kv scenarios: bounded sweep clean" `Quick
             test_crashcheck_kv ] ) ]
