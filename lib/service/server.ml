@@ -916,8 +916,8 @@ let serve cfg ~mach ~svc ~tch backend =
             indoubt := Kv.txn_resolve_indoubt rp.svc_b)
       in
       Kv.check rp.svc_b;
-      let ledger = verify rp.svc_b in
-      (int_of_float (secs *. 1e9), None, ledger, None, (!tail, !indoubt))
+      let promoted = verify rp.svc_b in
+      (int_of_float (secs *. 1e9), None, promoted, None, (!tail, !indoubt))
   in
 
   let queue_max_depth =
