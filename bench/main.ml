@@ -16,7 +16,6 @@ let full = ref false
 let figures = ref []
 let ablations = ref []
 let run_bechamel = ref false
-let smoke = ref false
 let suite = ref ""
 let json_out = ref ""
 
@@ -425,12 +424,12 @@ let ablation_costs () =
          + p.Machine.p_flush + p.Machine.p_fence + p.Machine.p_bandwidth_wait
          + p.Machine.p_compute + p.Machine.p_wrpkru)
       in
-      let pct v = 100.0 *. float_of_int v /. Float.max 1.0 total in
+      let share v = 100.0 *. float_of_int v /. Float.max 1.0 total in
       Tablefmt.add_float_row table factory.Workloads.Factories.name
-        [ pct p.Machine.p_read_hit; pct p.Machine.p_read_miss;
-          pct p.Machine.p_write; pct p.Machine.p_flush; pct p.Machine.p_fence;
-          pct p.Machine.p_bandwidth_wait; pct p.Machine.p_compute;
-          pct p.Machine.p_wrpkru ])
+        [ share p.Machine.p_read_hit; share p.Machine.p_read_miss;
+          share p.Machine.p_write; share p.Machine.p_flush;
+          share p.Machine.p_fence; share p.Machine.p_bandwidth_wait;
+          share p.Machine.p_compute; share p.Machine.p_wrpkru ])
     (factories ());
   Tablefmt.print table
 
@@ -572,78 +571,184 @@ let smoke_suite () =
     [ 1; 4 ];
   print_newline ()
 
-(* ---------- service suite: poseidon-kv end-to-end ---------- *)
+(* ---------- serve suites: poseidon-kv end-to-end ---------- *)
+
+(* Each serve suite is data: the rows it runs, the table columns it
+   prints, the per-row extras the shared result encoder has no place
+   for, and one gate over the finished rows.  [run_suite] runs the
+   rows in order, writes one poseidon-bench/v2 snapshot and exits 1
+   after writing it if any gate failed or any row lost an acked
+   write. *)
+
+module S = Service.Server
+module J = Obs.Json
+module A = Obs.Attrib
+
+type row = {
+  label : string;
+  cfg : S.config;
+  r : S.result;
+  rr : S.repl_result option;
+  att : A.report option; (* latency budget, when the suite arms spans *)
+}
+
+type suite = {
+  title : string;
+  runs : (string * S.config * S.repl_config option) list;
+  spans : bool;
+  columns : (string * (row -> string)) list;
+  extras : row -> (string * J.v) list;
+  gate : row list -> (string * J.v) list * string list;
+      (* the gate JSON fields and one message per failed gate *)
+}
+
+let num i = J.Num (float_of_int i)
+let ratio a b = float_of_int a /. float_of_int (max 1 b)
+let int_col name f = (name, fun w -> string_of_int (f w))
+let rate_col name f = (name, fun w -> Printf.sprintf "%.0f" (f w))
+let goodput = rate_col "goodput" (fun w -> w.r.S.goodput)
+let shed = int_col "shed" (fun w -> w.r.S.shed)
+let p50 = int_col "p50 ns" (fun w -> w.r.S.latency.S.p50)
+let p99 = int_col "p99 ns" (fun w -> w.r.S.latency.S.p99)
+let read_p50 = int_col "read p50" (fun w -> w.r.S.read_latency.S.p50)
+let write_p50 = int_col "write p50" (fun w -> w.r.S.write_latency.S.p50)
+let no_extras _ = []
+let no_gate _ = ([], [])
+let find rows label = List.find (fun w -> w.label = label) rows
+
+let base scope =
+  { S.default_config with
+    S.shards = 4;
+    clients = 32;
+    duration = (if !full then 0.05 else 0.02);
+    value_size = 128;
+    keyspace = 4096;
+    queue_capacity = 64;
+    scope }
+
+let sync_rcfg = S.default_repl_config
+let async_rcfg = { S.default_repl_config with S.repl_mode = Replica.Async }
+
+let run_row ~spans (label, cfg, repl) =
+  if spans then begin
+    Obs.Span.clear ();
+    Obs.Span.start ()
+  end;
+  let r, rr =
+    match repl with
+    | None ->
+      let factory = Workloads.Factories.poseidon () in
+      ( S.run
+          ~make:(fun () -> factory.Workloads.Factories.make ())
+          ~reattach:(fun mach ->
+            Poseidon.instance
+              (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base
+                 ()))
+          cfg,
+        None )
+    | Some rcfg ->
+      let rr =
+        S.run_replicated
+          ~make:(fun mach -> Workloads.Factories.poseidon_on mach)
+          cfg rcfg
+      in
+      (rr.S.base, Some rr)
+  in
+  let att =
+    if spans then begin
+      let a = A.analyze () in
+      Obs.Span.clear ();
+      Some a
+    end
+    else None
+  in
+  { label; cfg; r; rr; att }
+
+let rev_json () =
+  match Repro_util.Gitrev.short () with
+  | Some r -> J.Str r
+  | None -> J.Null
+
+let write_doc file doc =
+  match open_out file with
+  | exception Sys_error msg ->
+    Printf.eprintf "bench: cannot write metrics snapshot: %s\n" msg;
+    exit 1
+  | oc ->
+    output_string oc (J.to_string doc);
+    output_char oc '\n';
+    close_out oc;
+    note "metrics snapshot written to %s" file
+
+let run_suite name s file =
+  note "";
+  let rows = List.map (run_row ~spans:s.spans) s.runs in
+  let table =
+    Tablefmt.create ~title:s.title ~columns:("run" :: List.map fst s.columns)
+  in
+  List.iter
+    (fun w ->
+      Tablefmt.add_row table w.label (List.map (fun (_, f) -> f w) s.columns))
+    rows;
+  Tablefmt.print table;
+  List.iter
+    (fun w ->
+      if w.r.S.crashed then
+        note "  %s: RTO %d ns; ledger %d checked, %d ambiguous, %d mismatch(es)"
+          w.label w.r.S.rto_ns w.r.S.ledger.S.checked w.r.S.ledger.S.ambiguous
+          w.r.S.ledger.S.mismatches)
+    rows;
+  let gate, failed = s.gate rows in
+  let lost =
+    List.filter_map
+      (fun w ->
+        if S.acked_writes_lost ?repl:w.rr w.r then
+          Some (w.label ^ ": LEDGER MISMATCH — acked writes lost")
+        else None)
+      rows
+  in
+  let row_json w =
+    J.Obj
+      ([ ("label", J.Str w.label); ("config", S.config_json w.cfg);
+         ("results", S.result_json ?repl:w.rr w.r) ]
+      @ s.extras w)
+  in
+  write_doc file
+    (J.Obj
+       [ ("schema", J.Str "poseidon-bench/v2"); ("rev", rev_json ());
+         ("suite", J.Str name); ("full", J.Bool !full);
+         ("runs", J.Arr (List.map row_json rows)); ("gate", J.Obj gate);
+         ("metrics", Obs.Metrics.snapshot ()) ]);
+  match lost @ failed with
+  | [] -> ()
+  | msgs ->
+    List.iter (Printf.eprintf "bench %s: GATE FAILED — %s\n" name) msgs;
+    exit 1
 
 (* Offered-rate sweep over the sharded KV server plus one crash run:
    throughput vs goodput (they diverge once admission control sheds),
-   client latency percentiles, and recovery time.  See lib/service. *)
-let service_suite () =
-  note "";
-  note "### Service: poseidon-kv under open-loop simulated traffic";
-  note "(throughput vs goodput per offered rate — the top rate is past";
-  note " saturation, so admission control sheds; then a crash run with RTO)";
-  let module S = Service.Server in
-  let factory = Workloads.Factories.poseidon () in
-  let make () = factory.Workloads.Factories.make () in
-  let reattach mach =
-    Poseidon.instance
-      (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ())
-  in
+   client latency percentiles, and recovery time. *)
+let service () =
   let base rate scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate;
-      duration = (if !full then 0.05 else 0.02);
-      value_size = 128;
-      keyspace = 4096;
-      queue_capacity = 32;
-      scope }
+    { (base ("bench/service/" ^ scope)) with S.rate; queue_capacity = 32 }
   in
-  let runs = ref [] in
-  let run_one label cfg =
-    let r = S.run ~make ~reattach cfg in
-    runs := (label, cfg, r) :: !runs;
-    r
-  in
-  let table =
-    Tablefmt.create ~title:"poseidon-kv: offered-rate sweep (4 shards)"
-      ~columns:
-        [ "offered req/s"; "throughput"; "goodput"; "shed"; "p50 ns";
-          "p99 ns"; "p999 ns" ]
-  in
-  List.iter
-    (fun rate ->
-      let r =
-        run_one
-          (Printf.sprintf "rate-%.0f" rate)
-          (base rate (Printf.sprintf "bench/service/rate%.0f" rate))
-      in
-      Tablefmt.add_row table
-        (Printf.sprintf "%.0f" rate)
-        [ Printf.sprintf "%.0f" r.S.throughput;
-          Printf.sprintf "%.0f" r.S.goodput;
-          string_of_int r.S.shed;
-          string_of_int r.S.latency.S.p50;
-          string_of_int r.S.latency.S.p99;
-          string_of_int r.S.latency.S.p999 ])
-    [ 20_000.; 50_000.; 100_000.; 2_000_000. ];
-  Tablefmt.print table;
-  let r =
-    run_one "crash"
-      { (base 50_000. "bench/service/crash") with S.crash_at = Some 0.5 }
-  in
-  note
-    "  crash run: RTO %d ns; ledger %d checked, %d ambiguous, %d mismatch(es)"
-    r.S.rto_ns r.S.ledger.S.checked r.S.ledger.S.ambiguous
-    r.S.ledger.S.mismatches;
-  if r.S.ledger.S.mismatches > 0 then begin
-    Printf.eprintf "bench service: LEDGER MISMATCH — acked writes lost\n";
-    exit 1
-  end;
-  List.rev !runs
-
-(* ---------- replication suite: primary/backup on two machines ---------- *)
+  { title = "poseidon-kv: offered-rate sweep (4 shards)";
+    runs =
+      List.map
+        (fun rate ->
+          ( Printf.sprintf "rate-%.0f" rate,
+            base rate (Printf.sprintf "rate%.0f" rate),
+            None ))
+        [ 20_000.; 50_000.; 100_000.; 2_000_000. ]
+      @ [ ("crash", { (base 50_000. "crash") with S.crash_at = Some 0.5 }, None)
+        ];
+    spans = false;
+    columns =
+      [ rate_col "offered req/s" (fun w -> w.cfg.S.rate);
+        rate_col "throughput" (fun w -> w.r.S.throughput); goodput; shed; p50;
+        p99; int_col "p999 ns" (fun w -> w.r.S.latency.S.p999) ];
+    extras = no_extras;
+    gate = no_gate }
 
 (* Same traffic harness on a two-machine cluster (lib/cluster +
    lib/replica): sync vs async clean runs expose the sync-mode latency
@@ -652,97 +757,45 @@ let service_suite () =
    same traffic, same seed, crash + re-attach + intent replay).
    Promotion only seals the shipped log and replays the wire tail, so
    its RTO must come in under the full replay-on-restart path. *)
-let replication_suite () =
-  note "";
-  note "### Replication: primary/backup log shipping, two-machine cluster";
-  note "(sync vs async latency tax under identical zipfian traffic, then";
-  note " promote-on-failover RTO vs replay-on-restart RTO, same seed)";
-  let module S = Service.Server in
-  let factory = Workloads.Factories.poseidon () in
+let replication () =
   let base scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate = 50_000.;
-      duration = (if !full then 0.05 else 0.02);
-      value_size = 128;
-      keyspace = 4096;
+    { (base ("bench/replication/" ^ scope)) with
+      S.rate = 50_000.;
       read_pct = 20;
-      queue_capacity = 32;
-      scope }
+      queue_capacity = 32 }
   in
-  let make mach = Workloads.Factories.poseidon_on mach in
-  let runs = ref [] in
-  let repl label cfg rcfg =
-    let rr = S.run_replicated ~make cfg rcfg in
-    runs := (label, cfg, rr.S.base, Some rr) :: !runs;
-    rr
-  in
-  let sync_rcfg = S.default_repl_config in
-  let async_rcfg = { S.default_repl_config with S.repl_mode = Replica.Async } in
-  let sync_r = repl "sync-clean" (base "bench/replication/sync") sync_rcfg in
-  let async_r =
-    repl "async-clean" (base "bench/replication/async") async_rcfg
-  in
-  let table =
-    Tablefmt.create ~title:"poseidon-kv replicated: sync vs async (4 shards)"
-      ~columns:
-        [ "mode"; "throughput"; "goodput"; "p50 ns"; "p99 ns"; "max lag";
-          "acked" ]
-  in
-  List.iter
-    (fun (mode, (rr : S.repl_result)) ->
-      let r = rr.S.base in
-      Tablefmt.add_row table mode
-        [ Printf.sprintf "%.0f" r.S.throughput;
-          Printf.sprintf "%.0f" r.S.goodput;
-          string_of_int r.S.latency.S.p50;
-          string_of_int r.S.latency.S.p99;
-          string_of_int rr.S.max_lag;
-          string_of_int rr.S.acked_records ])
-    [ ("sync", sync_r); ("async", async_r) ];
-  Tablefmt.print table;
-  note "  sync latency tax: p50 +%d ns, p99 +%d ns over async"
-    (sync_r.S.base.S.latency.S.p50 - async_r.S.base.S.latency.S.p50)
-    (sync_r.S.base.S.latency.S.p99 - async_r.S.base.S.latency.S.p99);
-  let failover =
-    repl "sync-failover"
-      { (base "bench/replication/failover") with S.crash_at = Some 0.5 }
-      sync_rcfg
-  in
-  let restart =
-    let cfg =
-      { (base "bench/replication/restart") with S.crash_at = Some 0.5 }
-    in
-    let r =
-      S.run
-        ~make:(fun () -> factory.Workloads.Factories.make ())
-        ~reattach:(fun mach ->
-          Poseidon.instance
-            (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ()))
-        cfg
-    in
-    runs := ("restart-replay", cfg, r, None) :: !runs;
-    r
-  in
-  note
-    "  RTO: promote backup %d ns (%d tail record(s) replayed)  vs  \
-     replay-on-restart %d ns"
-    failover.S.base.S.rto_ns failover.S.tail_replayed restart.S.rto_ns;
-  note "  failover ledger: %d checked, %d ambiguous, %d mismatch(es)"
-    failover.S.base.S.ledger.S.checked failover.S.base.S.ledger.S.ambiguous
-    failover.S.base.S.ledger.S.mismatches;
-  if failover.S.base.S.ledger.S.mismatches > 0 then begin
-    Printf.eprintf
-      "bench replication: LEDGER MISMATCH — sync-acked writes lost in \
-       failover\n";
-    exit 1
-  end;
-  if failover.S.base.S.rto_ns >= restart.S.rto_ns then
-    note "  WARNING: promote RTO did not beat replay-on-restart RTO";
-  List.rev !runs
-
-(* ---------- batch suite: group commit + pipelined persistence ---------- *)
+  let crash scope = { (base scope) with S.crash_at = Some 0.5 } in
+  { title = "poseidon-kv replicated: sync vs async, promote vs replay";
+    runs =
+      [ ("sync-clean", base "sync", Some sync_rcfg);
+        ("async-clean", base "async", Some async_rcfg);
+        ("sync-failover", crash "failover", Some sync_rcfg);
+        ("restart-replay", crash "restart", None) ];
+    spans = false;
+    columns =
+      [ rate_col "throughput" (fun w -> w.r.S.throughput); goodput; p50; p99;
+        int_col "max lag" (fun w ->
+            Option.fold ~none:0 ~some:(fun rr -> rr.S.max_lag) w.rr) ];
+    extras = no_extras;
+    gate =
+      (fun rows ->
+        let sync = find rows "sync-clean" and async = find rows "async-clean" in
+        note "  sync latency tax: p50 +%d ns, p99 +%d ns over async"
+          (sync.r.S.latency.S.p50 - async.r.S.latency.S.p50)
+          (sync.r.S.latency.S.p99 - async.r.S.latency.S.p99);
+        let failover = find rows "sync-failover" in
+        let promote = failover.r.S.rto_ns
+        and replay = (find rows "restart-replay").r.S.rto_ns in
+        note "  RTO: promote backup %d ns (%d tail record(s) replayed) vs \
+              replay-on-restart %d ns"
+          promote (Option.get failover.rr).S.tail_replayed replay;
+        if promote >= replay then
+          note "  WARNING: promote RTO did not beat replay-on-restart RTO";
+        ( [ ( "rto",
+              J.Obj
+                [ ("promote_rto_ns", num promote); ("replay_rto_ns", num replay);
+                  ("promote_beats_replay", J.Bool (promote < replay)) ] ) ],
+          [] )) }
 
 (* Sync replication pays a wire round trip per mutation: the shard
    handler holds its lock through ship → backup persist → ack, so at
@@ -752,90 +805,49 @@ let replication_suite () =
    consecutive queued mutations — so batched sync should land within
    ~2x of async p50 at the same offered load, where unbatched sync
    drowns.  The sweep runs async and sync at identical rate/seed across
-   batch windows; the exit gate demands some window make the 2x bar. *)
-let batch_suite () =
-  note "";
-  note "### Group commit: batched sync vs async at identical offered load";
-  note "(one flush + one ack wait per group; window 1 = the unbatched path)";
-  let module S = Service.Server in
-  let base scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate = 400_000.;
-      duration = (if !full then 0.05 else 0.02);
-      value_size = 128;
-      keyspace = 4096;
-      read_pct = 20;
-      queue_capacity = 64;
-      scope }
+   batch windows; the gate demands some window make the 2x bar. *)
+let batch () =
+  let run label window rcfg =
+    ( label,
+      { (base ("bench/batch/" ^ label)) with
+        S.rate = 400_000.;
+        read_pct = 20;
+        batch_window = window },
+      Some { rcfg with S.wire_ns = 5_000 } )
   in
-  let make mach = Workloads.Factories.poseidon_on mach in
-  let runs = ref [] in
-  let repl label window mode =
-    let cfg =
-      { (base ("bench/batch/" ^ label)) with S.batch_window = window }
-    in
-    let rcfg =
-      { S.default_repl_config with S.repl_mode = mode; wire_ns = 5_000 }
-    in
-    let rr = S.run_replicated ~make cfg rcfg in
-    (match rr.S.backup_ledger with
-     | Some l when l.S.mismatches > 0 ->
-       Printf.eprintf "bench batch: BACKUP MISMATCH in %s\n" label;
-       exit 1
-     | _ -> ());
-    runs := (label, window, cfg, rr) :: !runs;
-    rr
-  in
-  let async_r = repl "async" 1 Replica.Async in
-  let windows = [ 1; 4; 8; 16; 32 ] in
-  let sync_rs =
-    List.map
-      (fun w -> (w, repl (Printf.sprintf "sync-w%d" w) w Replica.Sync))
-      windows
-  in
-  let table =
-    Tablefmt.create
-      ~title:"poseidon-kv sync group commit vs async (4 shards, same load)"
-      ~columns:
-        [ "run"; "window"; "goodput"; "p50 ns"; "p99 ns"; "shed"; "flushes" ]
-  in
-  let row label w (rr : S.repl_result) =
-    let r = rr.S.base in
-    Tablefmt.add_row table label
-      [ string_of_int w;
-        Printf.sprintf "%.0f" r.S.goodput;
-        string_of_int r.S.latency.S.p50;
-        string_of_int r.S.latency.S.p99;
-        string_of_int r.S.shed;
-        string_of_int rr.S.link_flushes ]
-  in
-  row "async" 1 async_r;
-  List.iter (fun (w, rr) -> row (Printf.sprintf "sync-w%d" w) w rr) sync_rs;
-  Tablefmt.print table;
-  let async_p50 = async_r.S.base.S.latency.S.p50 in
-  let best_w, best_rr =
-    List.fold_left
-      (fun (bw, (brr : S.repl_result)) (w, (rr : S.repl_result)) ->
-        if rr.S.base.S.latency.S.p50 < brr.S.base.S.latency.S.p50 then (w, rr)
-        else (bw, brr))
-      (List.hd sync_rs) (List.tl sync_rs)
-  in
-  let best_p50 = best_rr.S.base.S.latency.S.p50 in
-  note "  async p50 %d ns; best sync p50 %d ns at window %d (%.2fx async)"
-    async_p50 best_p50 best_w
-    (float_of_int best_p50 /. float_of_int (max 1 async_p50));
-  if best_p50 > 2 * async_p50 then begin
-    Printf.eprintf
-      "bench batch: GATE FAILED — best sync p50 %d ns > 2x async p50 %d ns \
-       at every batch window\n"
-      best_p50 async_p50;
-    exit 1
-  end;
-  (List.rev !runs, async_p50, best_w, best_p50)
-
-(* ---------- mvcc suite: lock-free snapshot reads ---------- *)
+  { title = "poseidon-kv sync group commit vs async (4 shards, same load)";
+    runs =
+      run "async" 1 async_rcfg
+      :: List.map
+           (fun w -> run (Printf.sprintf "sync-w%d" w) w sync_rcfg)
+           [ 1; 4; 8; 16; 32 ];
+    spans = false;
+    columns =
+      [ int_col "window" (fun w -> w.cfg.S.batch_window); goodput; p50; p99;
+        shed; int_col "flushes" (fun w -> (Option.get w.rr).S.link_flushes) ];
+    extras = (fun w -> [ ("link_flushes", num (Option.get w.rr).S.link_flushes) ]);
+    gate =
+      (fun rows ->
+        let p50 w = w.r.S.latency.S.p50 in
+        let async_p50 = p50 (find rows "async") in
+        let best =
+          match List.filter (fun w -> w.label <> "async") rows with
+          | first :: rest ->
+            List.fold_left (fun b w -> if p50 w < p50 b then w else b) first rest
+          | [] -> assert false
+        in
+        let best_p50 = p50 best in
+        note "  async p50 %d ns; best sync p50 %d ns at window %d (%.2fx async)"
+          async_p50 best_p50 best.cfg.S.batch_window (ratio best_p50 async_p50);
+        ( [ ("async_p50_ns", num async_p50); ("best_sync_p50_ns", num best_p50);
+            ("best_window", num best.cfg.S.batch_window);
+            ("ratio", J.Num (ratio best_p50 async_p50));
+            ("sync_within_2x_async", J.Bool (best_p50 <= 2 * async_p50)) ],
+          if best_p50 > 2 * async_p50 then
+            [ Printf.sprintf
+                "best sync p50 %d ns > 2x async p50 %d ns at every batch window"
+                best_p50 async_p50 ]
+          else [] )) }
 
 (* With mvcc off every get/scan queues for its shard lock behind the
    writers; with a version window the read path touches no lock at
@@ -843,283 +855,173 @@ let batch_suite () =
    the all-write baseline at the same offered load instead of merely
    tying it, and (b) the snapshot read itself must stay cheap — the
    sweep pairs a 95%-read run at window 0 against window 8 and gates
-   snapshot read p50 within 1.25x of the plain read p50.  A scan-heavy
-   run exercises the multi-shard merged scan, and a crash run shows
-   snapshot serving changes nothing about recovery. *)
-let mvcc_suite () =
-  note "";
-  note "### MVCC: lock-free snapshot reads vs the locked read path";
-  note "(same offered load across read mixes; window 0 = plain path)";
-  let module S = Service.Server in
-  let factory = Workloads.Factories.poseidon () in
-  let make () = factory.Workloads.Factories.make () in
-  let reattach mach =
-    Poseidon.instance
-      (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ())
+   snapshot read p50 within 1.25x of the plain read p50.  The
+   saturating runs give the throughput comparison headroom; the
+   overhead pair runs below saturation so read p50 measures the path,
+   not the queue.  A scan-heavy run exercises the multi-shard merged
+   scan, and a crash run shows snapshot serving changes nothing about
+   recovery. *)
+let mvcc () =
+  let run ?crash_at label ~rate ~read ~scan ~window =
+    ( label,
+      { (base ("bench/mvcc/" ^ label)) with
+        S.rate;
+        read_pct = read;
+        scan_pct = scan;
+        delete_pct = 0;
+        mvcc_window = window;
+        crash_at },
+      None )
   in
-  let base ~rate ~read ~scan ~window scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate;
-      duration = (if !full then 0.05 else 0.02);
-      value_size = 128;
-      keyspace = 4096;
-      read_pct = read;
-      scan_pct = scan;
-      delete_pct = 0;
-      queue_capacity = 64;
-      mvcc_window = window;
-      scope }
-  in
-  let runs = ref [] in
-  let run_one label cfg =
-    let r = S.run ~make ~reattach cfg in
-    if r.S.ledger.S.mismatches > 0 then begin
-      Printf.eprintf "bench mvcc: LEDGER MISMATCH in %s\n" label;
-      exit 1
-    end;
-    runs := (label, cfg, r) :: !runs;
-    r
-  in
-  (* saturating rate: the throughput comparison needs headroom to show *)
   let hot = 2_000_000. and warm = 50_000. in
-  let write_all =
-    run_one "write-all"
-      (base ~rate:hot ~read:0 ~scan:0 ~window:8 "bench/mvcc/write-all")
-  in
-  let _ =
-    run_one "mix-50"
-      (base ~rate:hot ~read:50 ~scan:0 ~window:8 "bench/mvcc/mix-50")
-  in
-  let read95 =
-    run_one "read-95"
-      (base ~rate:hot ~read:95 ~scan:0 ~window:8 "bench/mvcc/read-95")
-  in
-  (* the overhead pair runs below saturation so read p50 measures the
-     path, not the queue *)
-  let plain_warm =
-    run_one "read-95-plain"
-      (base ~rate:warm ~read:95 ~scan:0 ~window:0 "bench/mvcc/read-95-plain")
-  in
-  let snap_warm =
-    run_one "read-95-snap"
-      (base ~rate:warm ~read:95 ~scan:0 ~window:8 "bench/mvcc/read-95-snap")
-  in
-  let _ =
-    run_one "scan-heavy"
-      (base ~rate:warm ~read:30 ~scan:50 ~window:8 "bench/mvcc/scan-heavy")
-  in
-  let crash =
-    run_one "crash"
-      { (base ~rate:warm ~read:60 ~scan:10 ~window:8 "bench/mvcc/crash") with
-        S.crash_at = Some 0.5 }
-  in
-  note "  crash run: RTO %d ns; ledger %d checked, %d mismatch(es)"
-    crash.S.rto_ns crash.S.ledger.S.checked crash.S.ledger.S.mismatches;
-  let table =
-    Tablefmt.create
-      ~title:"poseidon-kv MVCC read path (4 shards, window 8 vs plain)"
-      ~columns:
-        [ "run"; "window"; "goodput"; "shed"; "read p50"; "write p50";
-          "scan p50" ]
-  in
-  List.iter
-    (fun (label, (cfg : S.config), (r : S.result)) ->
-      Tablefmt.add_row table label
-        [ string_of_int cfg.S.mvcc_window;
-          Printf.sprintf "%.0f" r.S.goodput;
-          string_of_int r.S.shed;
-          string_of_int r.S.read_latency.S.p50;
-          string_of_int r.S.write_latency.S.p50;
-          string_of_int r.S.scan_latency.S.p50 ])
-    (List.rev !runs);
-  Tablefmt.print table;
-  let plain_p50 = plain_warm.S.read_latency.S.p50
-  and snap_p50 = snap_warm.S.read_latency.S.p50 in
-  note "  plain read p50 %d ns; snapshot read p50 %d ns (%.2fx)" plain_p50
-    snap_p50
-    (float_of_int snap_p50 /. float_of_int (max 1 plain_p50));
-  note "  all-write throughput %.0f; 95%%-read throughput %.0f (shed %d vs %d)"
-    write_all.S.throughput read95.S.throughput read95.S.shed write_all.S.shed;
-  if 4 * snap_p50 > 5 * plain_p50 then begin
-    Printf.eprintf
-      "bench mvcc: GATE FAILED — snapshot read p50 %d ns > 1.25x plain \
-       read p50 %d ns\n"
-      snap_p50 plain_p50;
-    exit 1
-  end;
-  if
-    read95.S.throughput <= write_all.S.throughput
-    || read95.S.shed > write_all.S.shed
-  then begin
-    Printf.eprintf
-      "bench mvcc: GATE FAILED — 95%%-read mix (%.0f req/s, shed %d) does \
-       not beat the all-write baseline (%.0f req/s, shed %d)\n"
-      read95.S.throughput read95.S.shed write_all.S.throughput
-      write_all.S.shed;
-    exit 1
-  end;
-  (List.rev !runs, plain_p50, snap_p50, write_all, read95)
-
-(* ---------- rcache suite: DRAM read-cache tier ---------- *)
+  { title = "poseidon-kv MVCC read path (4 shards, window 8 vs plain)";
+    runs =
+      [ run "write-all" ~rate:hot ~read:0 ~scan:0 ~window:8;
+        run "mix-50" ~rate:hot ~read:50 ~scan:0 ~window:8;
+        run "read-95" ~rate:hot ~read:95 ~scan:0 ~window:8;
+        run "read-95-plain" ~rate:warm ~read:95 ~scan:0 ~window:0;
+        run "read-95-snap" ~rate:warm ~read:95 ~scan:0 ~window:8;
+        run "scan-heavy" ~rate:warm ~read:30 ~scan:50 ~window:8;
+        run "crash" ~crash_at:0.5 ~rate:warm ~read:60 ~scan:10 ~window:8 ];
+    spans = false;
+    columns =
+      [ int_col "window" (fun w -> w.cfg.S.mvcc_window); goodput; shed;
+        read_p50; write_p50;
+        int_col "scan p50" (fun w -> w.r.S.scan_latency.S.p50) ];
+    extras = no_extras;
+    gate =
+      (fun rows ->
+        let plain = (find rows "read-95-plain").r.S.read_latency.S.p50
+        and snap = (find rows "read-95-snap").r.S.read_latency.S.p50 in
+        let write_all = (find rows "write-all").r
+        and read95 = (find rows "read-95").r in
+        note "  plain read p50 %d ns; snapshot read p50 %d ns (%.2fx)" plain
+          snap (ratio snap plain);
+        note "  all-write throughput %.0f; 95%%-read throughput %.0f (shed %d \
+              vs %d)"
+          write_all.S.throughput read95.S.throughput read95.S.shed
+          write_all.S.shed;
+        let outscales =
+          read95.S.throughput > write_all.S.throughput
+          && read95.S.shed <= write_all.S.shed
+        in
+        ( [ ("plain_read_p50_ns", num plain); ("snapshot_read_p50_ns", num snap);
+            ("read_overhead_ratio", J.Num (ratio snap plain));
+            ("snapshot_within_1_25x_plain", J.Bool (4 * snap <= 5 * plain));
+            ("write_all_throughput", J.Num write_all.S.throughput);
+            ("read95_throughput", J.Num read95.S.throughput);
+            ("write_all_shed", num write_all.S.shed);
+            ("read95_shed", num read95.S.shed);
+            ("read_mix_outscales_writes", J.Bool outscales) ],
+          (if 4 * snap > 5 * plain then
+             [ Printf.sprintf
+                 "snapshot read p50 %d ns > 1.25x plain read p50 %d ns" snap
+                 plain ]
+           else [])
+          @
+          if outscales then []
+          else
+            [ Printf.sprintf
+                "95%%-read mix (%.0f req/s, shed %d) does not beat the \
+                 all-write baseline (%.0f req/s, shed %d)"
+                read95.S.throughput read95.S.shed write_all.S.throughput
+                write_all.S.shed ] )) }
 
 (* With a read cache armed, a hot zipfian read mix answers most gets
    from a DRAM probe instead of walking the persistent B+-tree and
    digesting the NVMM value block.  The skew sweep (theta 0.6 / 0.9 /
-   1.1, 8192 entries/shard, warm rate) shows the hit-rate gradient;
-   the gate pair reruns the same 98%-read mix at theta 0.99 at a HOT
+   1.1, 8192 entries/shard, below saturation so hit rate and read p50
+   measure the path, not the queue) shows the hit-rate gradient; the
+   gate pair reruns the same 98%-read mix at theta 0.99 at a HOT
    offered load, where the cheaper cached service time is the
    difference between a shard queue that drains and one that builds —
    cached read p50 must come in at or below 0.6x the uncached one —
    and a crash run shows the volatile cache changes nothing about
    recovery or the ledger. *)
-let rcache_suite () =
-  note "";
-  note "### RCACHE: DRAM read-cache tier over the NVMM shards";
-  note "(same 98%%-read mix across zipf skews; entries 0 = uncached path)";
-  let module S = Service.Server in
-  let factory = Workloads.Factories.poseidon () in
-  let make () = factory.Workloads.Factories.make () in
-  let reattach mach =
-    Poseidon.instance
-      (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ())
+let rcache () =
+  let run ?(rate = 600_000.) ?(duration = if !full then 0.08 else 0.06)
+      ?crash_at label ~theta ~entries =
+    ( label,
+      { (base ("bench/rcache/" ^ label)) with
+        S.rate;
+        duration;
+        value_size = 512;
+        (* every key present (absent keys return early and cache
+           nothing), and the keyspace is sized so the per-shard working
+           set overflows the simulated per-CPU hardware cache (8192
+           direct-mapped lines): an uncached read then really pays the
+           NVMM tree walk + value digest, which is exactly what the
+           digest cache skips.  MVCC stays off — its version chains
+           already memoize the digest of every mutated key, so the
+           locked read path is where the cache earns its keep (the
+           snapshot path's cache interplay is covered by the
+           kv-rcache-put crashcheck sweep and the mvcc suite) *)
+        keyspace = 32768;
+        preload = 32768;
+        zipf_theta = theta;
+        read_pct = 98;
+        scan_pct = 0;
+        delete_pct = 0;
+        mvcc_window = 0;
+        rcache_entries = entries;
+        crash_at },
+      None )
   in
-  let base ?(rate = 600_000.) ?(duration = if !full then 0.08 else 0.06)
-      ~theta ~entries scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate;
-      duration;
-      value_size = 512;
-      (* every key present (absent keys return early and cache
-         nothing), and the keyspace is sized so the per-shard working
-         set overflows the simulated per-CPU hardware cache (8192
-         direct-mapped lines): an uncached read then really pays the
-         NVMM tree walk + value digest, which is exactly what the
-         digest cache skips.  MVCC stays off — its version chains
-         already memoize the digest of every mutated key, so the
-         locked read path is where the cache earns its keep (the
-         snapshot path's cache interplay is covered by the
-         kv-rcache-put crashcheck sweep and the mvcc suite) *)
-      keyspace = 32768;
-      preload = 32768;
-      zipf_theta = theta;
-      read_pct = 98;
-      scan_pct = 0;
-      delete_pct = 0;
-      queue_capacity = 64;
-      mvcc_window = 0;
-      rcache_entries = entries;
-      scope }
-  in
-  let hit_rate scope =
+  let hit_rate w =
     let g name =
-      match Obs.Metrics.get_gauge ~scope name with Some v -> v | None -> 0.
+      Option.value ~default:0. (Obs.Metrics.get_gauge ~scope:w.cfg.S.scope name)
     in
     let hits = g "rcache_hits" and misses = g "rcache_misses" in
     if hits +. misses <= 0. then 0. else hits /. (hits +. misses)
   in
-  let runs = ref [] in
-  let run_one label cfg =
-    let r = S.run ~make ~reattach cfg in
-    if r.S.ledger.S.mismatches > 0 then begin
-      Printf.eprintf "bench rcache: LEDGER MISMATCH in %s\n" label;
-      exit 1
-    end;
-    runs := (label, cfg, r, hit_rate cfg.S.scope) :: !runs;
-    r
-  in
-  (* the skew sweep runs below saturation so hit rate and read p50
-     measure the path, not the queue *)
-  List.iter
-    (fun theta ->
-      let label = Printf.sprintf "zipf-%.1f" theta in
-      ignore
-        (run_one label
-           (base ~theta ~entries:8192
-              (Printf.sprintf "bench/rcache/%s" label))))
-    [ 0.6; 0.9; 1.1 ];
-  (* the gate pair runs HOT: at this offered load the uncached read
-     path's service time backs the shard queues up, while cache hits
-     keep them drained — the latency a read cache actually buys a
-     loaded store *)
   let hot = 2_400_000. and hot_dur = 0.24 in
-  let uncached =
-    run_one "hot-uncached"
-      (base ~rate:hot ~duration:hot_dur ~theta:0.99 ~entries:0
-         "bench/rcache/hot-uncached")
-  in
-  let cached =
-    run_one "hot-cached"
-      (base ~rate:hot ~duration:hot_dur ~theta:0.99 ~entries:8192
-         "bench/rcache/hot-cached")
-  in
-  let crash =
-    run_one "crash"
-      { (base ~theta:0.99 ~entries:8192 "bench/rcache/crash") with
-        S.crash_at = Some 0.5 }
-  in
-  note "  crash run: RTO %d ns; ledger %d checked, %d mismatch(es)"
-    crash.S.rto_ns crash.S.ledger.S.checked crash.S.ledger.S.mismatches;
-  let table =
-    Tablefmt.create
-      ~title:
-        "poseidon-kv DRAM read cache (4 shards, 98% reads, 8192 \
-         entries/shard vs none)"
-      ~columns:
-        [ "run"; "entries"; "zipf"; "goodput"; "hit rate"; "read p50";
-          "write p50" ]
-  in
-  List.iter
-    (fun (label, (cfg : S.config), (r : S.result), hr) ->
-      Tablefmt.add_row table label
-        [ string_of_int cfg.S.rcache_entries;
-          Printf.sprintf "%.2f" cfg.S.zipf_theta;
-          Printf.sprintf "%.0f" r.S.goodput;
-          Printf.sprintf "%.2f" hr;
-          string_of_int r.S.read_latency.S.p50;
-          string_of_int r.S.write_latency.S.p50 ])
-    (List.rev !runs);
-  Tablefmt.print table;
-  let un_p50 = uncached.S.read_latency.S.p50
-  and c_p50 = cached.S.read_latency.S.p50 in
-  note "  uncached service p50 %d ns; cached service p50 %d ns"
-    uncached.S.service.S.p50 cached.S.service.S.p50;
-  note "  uncached read p50 %d ns; cached read p50 %d ns (%.2fx, hit rate %.2f)"
-    un_p50 c_p50
-    (float_of_int c_p50 /. float_of_int (max 1 un_p50))
-    (hit_rate "bench/rcache/hot-cached");
-  if 5 * c_p50 > 3 * un_p50 then begin
-    Printf.eprintf
-      "bench rcache: GATE FAILED — cached read p50 %d ns > 0.6x uncached \
-       read p50 %d ns\n"
-      c_p50 un_p50;
-    exit 1
-  end;
-  (List.rev !runs, un_p50, c_p50)
-
-(* ---------- alloc suite: DRAM magazine-cache fast path ---------- *)
+  { title = "poseidon-kv DRAM read cache (4 shards, 98% reads)";
+    runs =
+      List.map
+        (fun theta ->
+          run (Printf.sprintf "zipf-%.1f" theta) ~theta ~entries:8192)
+        [ 0.6; 0.9; 1.1 ]
+      @ [ run "hot-uncached" ~rate:hot ~duration:hot_dur ~theta:0.99 ~entries:0;
+          run "hot-cached" ~rate:hot ~duration:hot_dur ~theta:0.99
+            ~entries:8192;
+          run "crash" ~crash_at:0.5 ~theta:0.99 ~entries:8192 ];
+    spans = false;
+    columns =
+      [ int_col "entries" (fun w -> w.cfg.S.rcache_entries);
+        ("zipf", fun w -> Printf.sprintf "%.2f" w.cfg.S.zipf_theta); goodput;
+        ("hit rate", fun w -> Printf.sprintf "%.2f" (hit_rate w)); read_p50;
+        write_p50 ];
+    extras = (fun w -> [ ("hit_rate", J.Num (hit_rate w)) ]);
+    gate =
+      (fun rows ->
+        let un = (find rows "hot-uncached").r.S.read_latency.S.p50
+        and c = (find rows "hot-cached").r.S.read_latency.S.p50 in
+        note "  uncached read p50 %d ns; cached read p50 %d ns (%.2fx)" un c
+          (ratio c un);
+        ( [ ("uncached_read_p50_ns", num un); ("cached_read_p50_ns", num c);
+            ("read_speedup_ratio", J.Num (ratio c un));
+            ("cached_read_p50_le_0_6x_uncached", J.Bool (5 * c <= 3 * un));
+            ( "zero_ledger_mismatches",
+              J.Bool
+                (List.for_all (fun w -> w.r.S.ledger.S.mismatches = 0) rows) ) ],
+          if 5 * c > 3 * un then
+            [ Printf.sprintf
+                "cached read p50 %d ns > 0.6x uncached read p50 %d ns" c un ]
+          else [] )) }
 
 (* The tcache wrapper turns the common allocation into a volatile bin
    pop (no NVMM write, no fence) with batched refills and bulk frees,
-   so (a) the per-op simulated latency of a steady-state alloc/free
-   mix must drop sharply against the raw allocator — the gate demands
-   a >= 25% alloc p50 reduction — and (b) an end-to-end write-heavy
-   serve run with --tcache-mag K must beat the same-seed mag-0 run on
-   write (put) p50.  A crash run shows cached serving changes nothing
-   about recovery. *)
-let alloc_suite () =
-  note "";
-  note "### Allocation fast path: magazine cache vs raw allocator";
-  note "(steady-state 64 B alloc/free mix, one simulated thread)";
-  let module S = Service.Server in
-  let factory = Workloads.Factories.poseidon () in
+   so (a) the per-op simulated latency of a steady-state 64 B
+   alloc/free mix, measured inside the simulation on one thread, must
+   drop sharply against the raw allocator — the gate demands a >= 25%
+   alloc p50 reduction — and (b) an end-to-end write-heavy serve run
+   with --tcache-mag K must beat the same-seed mag-0 run on write (put)
+   p50.  A crash run shows cached serving changes nothing about
+   recovery.  The micro pair runs first, when the suite is built. *)
+let alloc () =
   let mag = 8 in
-  (* micro: per-op simulated ns, measured inside the simulation *)
   let micro ~cached =
-    let mach, raw = factory.Workloads.Factories.make () in
+    let mach, raw = (Workloads.Factories.poseidon ()).Workloads.Factories.make () in
     let inst = if cached then fst (Tcache.wrap ~mag raw) else raw in
     let n = scale 2000 in
     let window = 64 in
@@ -1148,855 +1050,163 @@ let alloc_suite () =
       Array.sort compare a;
       a.(Array.length a / 2)
     in
-    let mean a =
-      float_of_int (Array.fold_left ( + ) 0 a) /. float_of_int n
-    in
+    let mean a = float_of_int (Array.fold_left ( + ) 0 a) /. float_of_int n in
     (p50 alloc_ns, mean alloc_ns, p50 free_ns, mean free_ns)
   in
+  note "";
+  note "### Allocation fast path: magazine cache vs raw allocator";
   let raw_p50, raw_mean, raw_fp50, raw_fmean = micro ~cached:false in
   let tc_p50, tc_mean, tc_fp50, tc_fmean = micro ~cached:true in
   let table =
     Tablefmt.create
       ~title:(Printf.sprintf "64 B alloc/free latency (mag %d)" mag)
-      ~columns:
-        [ "path"; "alloc p50"; "alloc mean"; "free p50"; "free mean" ]
+      ~columns:[ "path"; "alloc p50"; "alloc mean"; "free p50"; "free mean" ]
   in
-  Tablefmt.add_row table "raw"
-    [ string_of_int raw_p50; Printf.sprintf "%.0f" raw_mean;
-      string_of_int raw_fp50; Printf.sprintf "%.0f" raw_fmean ];
-  Tablefmt.add_row table "tcache"
-    [ string_of_int tc_p50; Printf.sprintf "%.0f" tc_mean;
-      string_of_int tc_fp50; Printf.sprintf "%.0f" tc_fmean ];
+  let micro_row path p50 mean fp50 fmean =
+    Tablefmt.add_row table path
+      [ string_of_int p50; Printf.sprintf "%.0f" mean; string_of_int fp50;
+        Printf.sprintf "%.0f" fmean ]
+  in
+  micro_row "raw" raw_p50 raw_mean raw_fp50 raw_fmean;
+  micro_row "tcache" tc_p50 tc_mean tc_fp50 tc_fmean;
   Tablefmt.print table;
   note "  alloc p50: %d ns raw -> %d ns cached (%.2fx)" raw_p50 tc_p50
-    (float_of_int tc_p50 /. float_of_int (max 1 raw_p50));
-  if 4 * tc_p50 > 3 * raw_p50 then begin
-    Printf.eprintf
-      "bench alloc: GATE FAILED — cached alloc p50 %d ns is not 25%% below \
-       the raw p50 %d ns\n"
-      tc_p50 raw_p50;
-    exit 1
-  end;
-  (* end-to-end: write-heavy serving, same seed, mag K vs mag 0 *)
-  let make () = factory.Workloads.Factories.make () in
-  let reattach mach =
-    Poseidon.instance
-      (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ())
+    (ratio tc_p50 raw_p50);
+  let run ?crash_at label scope ~tcache_mag =
+    ( label,
+      { (base ("bench/alloc/" ^ scope)) with
+        S.rate = 2_000_000.;
+        read_pct = 0;
+        scan_pct = 0;
+        delete_pct = 10;
+        tcache_mag;
+        crash_at },
+      None )
   in
-  let base ~tcache_mag scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate = 2_000_000.;
-      duration = (if !full then 0.05 else 0.02);
-      value_size = 128;
-      keyspace = 4096;
-      read_pct = 0;
-      scan_pct = 0;
-      delete_pct = 10;
-      queue_capacity = 64;
-      tcache_mag;
-      scope }
-  in
-  let runs = ref [] in
-  let run_one label cfg =
-    let r = S.run ~make ~reattach cfg in
-    if r.S.ledger.S.mismatches > 0 then begin
-      Printf.eprintf "bench alloc: LEDGER MISMATCH in %s\n" label;
-      exit 1
-    end;
-    runs := (label, cfg, r) :: !runs;
-    r
-  in
-  let plain = run_one "serve-mag0" (base ~tcache_mag:0 "bench/alloc/mag0") in
-  let cached =
-    run_one "serve-tcache" (base ~tcache_mag:mag "bench/alloc/tcache")
-  in
-  let crash =
-    run_one "serve-tcache-crash"
-      { (base ~tcache_mag:mag "bench/alloc/crash") with
-        S.crash_at = Some 0.5 }
-  in
-  let stable =
-    Tablefmt.create
-      ~title:"poseidon-kv write-heavy serving (4 shards, saturating)"
-      ~columns:[ "run"; "mag"; "goodput"; "write p50"; "write p99" ]
-  in
-  List.iter
-    (fun (label, (cfg : S.config), (r : S.result)) ->
-      Tablefmt.add_row stable label
-        [ string_of_int cfg.S.tcache_mag;
-          Printf.sprintf "%.0f" r.S.goodput;
-          string_of_int r.S.write_latency.S.p50;
-          string_of_int r.S.write_latency.S.p99 ])
-    (List.rev !runs);
-  Tablefmt.print stable;
-  note "  crash run: RTO %d ns; ledger %d checked, %d mismatch(es)"
-    crash.S.rto_ns crash.S.ledger.S.checked crash.S.ledger.S.mismatches;
-  let plain_w50 = plain.S.write_latency.S.p50
-  and tc_w50 = cached.S.write_latency.S.p50 in
-  note "  serve write p50: %d ns mag 0 -> %d ns mag %d (%.2fx)" plain_w50
-    tc_w50 mag
-    (float_of_int tc_w50 /. float_of_int (max 1 plain_w50));
-  if tc_w50 >= plain_w50 then begin
-    Printf.eprintf
-      "bench alloc: GATE FAILED — cached serve write p50 %d ns does not \
-       beat the mag-0 write p50 %d ns\n"
-      tc_w50 plain_w50;
-    exit 1
-  end;
-  (List.rev !runs, (raw_p50, raw_mean, tc_p50, tc_mean), (plain_w50, tc_w50))
+  { title = "poseidon-kv write-heavy serving (4 shards, saturating)";
+    runs =
+      [ run "serve-mag0" "mag0" ~tcache_mag:0;
+        run "serve-tcache" "tcache" ~tcache_mag:mag;
+        run "serve-tcache-crash" "crash" ~crash_at:0.5 ~tcache_mag:mag ];
+    spans = false;
+    columns =
+      [ int_col "mag" (fun w -> w.cfg.S.tcache_mag); goodput; write_p50;
+        int_col "write p99" (fun w -> w.r.S.write_latency.S.p99) ];
+    extras = no_extras;
+    gate =
+      (fun rows ->
+        let plain = (find rows "serve-mag0").r.S.write_latency.S.p50
+        and cached = (find rows "serve-tcache").r.S.write_latency.S.p50 in
+        note "  serve write p50: %d ns mag 0 -> %d ns mag %d (%.2fx)" plain
+          cached mag (ratio cached plain);
+        ( [ ( "micro",
+              J.Obj
+                [ ("raw_alloc_p50_ns", num raw_p50);
+                  ("raw_alloc_mean_ns", J.Num raw_mean);
+                  ("tcache_alloc_p50_ns", num tc_p50);
+                  ("tcache_alloc_mean_ns", J.Num tc_mean) ] );
+            ("alloc_p50_ratio", J.Num (ratio tc_p50 raw_p50));
+            ("alloc_p50_dropped_25pct", J.Bool (4 * tc_p50 <= 3 * raw_p50));
+            ("mag0_write_p50_ns", num plain);
+            ("tcache_write_p50_ns", num cached);
+            ("serve_write_p50_dropped", J.Bool (cached < plain)) ],
+          (if 4 * tc_p50 > 3 * raw_p50 then
+             [ Printf.sprintf
+                 "cached alloc p50 %d ns is not 25%% below the raw p50 %d ns"
+                 tc_p50 raw_p50 ]
+           else [])
+          @
+          if cached >= plain then
+            [ Printf.sprintf
+                "cached serve write p50 %d ns does not beat the mag-0 write \
+                 p50 %d ns"
+                cached plain ]
+          else [] )) }
 
-(* ---------- txn suite: cross-shard 2PC transactions ---------- *)
+(* A single-op baseline against transactional mixes (server
+   --txn-pct) at identical seed and offered rate exposes the 2PC tax —
+   commit latency vs single-op latency, abort rate — and a crash run
+   checks that recovery keeps every transaction atomic (the ledger
+   treats a txn's keys as one all-or-nothing group). *)
+let txn () =
+  let run ?crash_at ?(solo = false) ?(pct = 0) ?(ops = 3) label =
+    let cfg =
+      { (base ("bench/txn/" ^ label)) with
+        S.rate = 50_000.;
+        txn_pct = pct;
+        txn_ops = ops;
+        crash_at }
+    in
+    ( label,
+      (if solo then { cfg with S.read_pct = 0; delete_pct = 0; scan_pct = 0 }
+       else cfg),
+      None )
+  in
+  { title = "poseidon-kv: transactional mixes (4 shards)";
+    runs =
+      [ run "baseline"; run "txn25-2op" ~pct:25 ~ops:2;
+        run "txn25-4op" ~pct:25 ~ops:4;
+        run "txn100-4op" ~solo:true ~pct:100 ~ops:4;
+        run "crash" ~crash_at:0.5 ~pct:25 ~ops:3 ];
+    spans = false;
+    columns =
+      [ goodput; int_col "committed" (fun w -> w.r.S.txns_committed);
+        int_col "aborted" (fun w -> w.r.S.txns_aborted);
+        int_col "txn p50 ns" (fun w -> w.r.S.txn_latency.S.p50);
+        int_col "txn p99 ns" (fun w -> w.r.S.txn_latency.S.p99) ];
+    extras = no_extras;
+    gate =
+      (fun rows ->
+        let b = (find rows "baseline").r and t = (find rows "txn25-2op").r in
+        ( [ ( "commit_latency_tax",
+              if t.S.txn_latency.S.samples > 0 then begin
+                note "  2PC tax (25%% mix, 2 ops): txn p50 %d ns vs baseline \
+                      single-op p50 %d ns"
+                  t.S.txn_latency.S.p50 b.S.latency.S.p50;
+                J.Obj
+                  [ ("baseline_p50_ns", num b.S.latency.S.p50);
+                    ("txn_p50_ns", num t.S.txn_latency.S.p50);
+                    ( "txn_over_single_p50",
+                      J.Num (ratio t.S.txn_latency.S.p50 b.S.latency.S.p50) )
+                  ]
+              end
+              else J.Null ) ],
+          [] )) }
 
-(* Same traffic harness with a transactional mix (server --txn-pct):
-   a single-op baseline against transactional mixes at identical seed
-   and offered rate exposes the 2PC tax — commit latency vs single-op
-   latency, abort rate — and a crash run checks that recovery keeps
-   every transaction atomic (the ledger treats a txn's keys as one
-   all-or-nothing group). *)
-let txn_suite () =
-  note "";
-  note "### Transactions: cross-shard 2PC over poseidon-kv";
-  note "(single-op baseline vs transactional mixes, same seed and rate:";
-  note " abort rate and the commit-latency tax of the coordinator-record";
-  note " protocol; then a crash run — atomicity must survive recovery)";
-  let module S = Service.Server in
-  let factory = Workloads.Factories.poseidon () in
-  let make () = factory.Workloads.Factories.make () in
-  let reattach mach =
-    Poseidon.instance
-      (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ())
-  in
-  let base scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate = 50_000.;
-      duration = (if !full then 0.05 else 0.02);
-      value_size = 128;
-      keyspace = 4096;
-      queue_capacity = 64;
-      scope }
-  in
-  let runs = ref [] in
-  let run_one label cfg =
-    let r = S.run ~make ~reattach cfg in
-    runs := (label, cfg, r) :: !runs;
-    r
-  in
-  let baseline = run_one "baseline" (base "bench/txn/baseline") in
-  let mixes =
-    [ ("txn25-2op", 25, 2); ("txn25-4op", 25, 4); ("txn100-4op", 100, 4) ]
-  in
-  let table =
-    Tablefmt.create ~title:"poseidon-kv: transactional mixes (4 shards)"
-      ~columns:
-        [ "mix"; "goodput"; "committed"; "aborted"; "abort %"; "txn p50 ns";
-          "txn p99 ns" ]
-  in
-  Tablefmt.add_row table "baseline"
-    [ Printf.sprintf "%.0f" baseline.S.goodput; "-"; "-"; "-";
-      string_of_int baseline.S.latency.S.p50;
-      string_of_int baseline.S.latency.S.p99 ];
-  List.iter
-    (fun (label, pct, ops) ->
-      let cfg = { (base ("bench/txn/" ^ label)) with S.txn_pct = pct; txn_ops = ops } in
-      let cfg =
-        if pct = 100 then
-          { cfg with S.read_pct = 0; delete_pct = 0; scan_pct = 0 }
-        else cfg
-      in
-      let r = run_one label cfg in
-      let attempts = r.S.txns_committed + r.S.txns_aborted in
-      Tablefmt.add_row table label
-        [ Printf.sprintf "%.0f" r.S.goodput;
-          string_of_int r.S.txns_committed;
-          string_of_int r.S.txns_aborted;
-          Printf.sprintf "%.1f"
-            (100.0 *. float_of_int r.S.txns_aborted
-            /. Float.max 1.0 (float_of_int attempts));
-          string_of_int r.S.txn_latency.S.p50;
-          string_of_int r.S.txn_latency.S.p99 ])
-    mixes;
-  Tablefmt.print table;
-  (match List.assoc_opt "txn25-2op" (List.map (fun (l, _, r) -> (l, r)) !runs)
-   with
-  | Some r when r.S.txn_latency.S.samples > 0 ->
-    note "  2PC tax (25%% mix, 2 ops): txn p50 %d ns vs baseline single-op \
-          p50 %d ns"
-      r.S.txn_latency.S.p50 baseline.S.latency.S.p50
-  | _ -> ());
-  let crash =
-    run_one "crash"
-      { (base "bench/txn/crash") with
-        S.txn_pct = 25;
-        txn_ops = 3;
-        crash_at = Some 0.5 }
-  in
-  note
-    "  crash run: %d committed / %d aborted before+after; RTO %d ns; ledger \
-     %d checked, %d ambiguous, %d mismatch(es)"
-    crash.S.txns_committed crash.S.txns_aborted crash.S.rto_ns
-    crash.S.ledger.S.checked crash.S.ledger.S.ambiguous
-    crash.S.ledger.S.mismatches;
-  if crash.S.ledger.S.mismatches > 0 then begin
-    Printf.eprintf
-      "bench txn: LEDGER MISMATCH — transaction atomicity violated across \
-       crash\n";
-    exit 1
-  end;
-  List.rev !runs
-
-(* ---------- attrib suite: where does the time go? ---------- *)
-
-(* The tracing tentpole's payoff: identical zipfian traffic (same seed,
-   same offered load) run unreplicated, async- and sync-replicated,
-   single-op and all-transaction, each with the span store on.  The
-   per-run latency budget (Obs.Attrib over the span trees) then names
-   the stage that dominates each configuration's critical path — so
-   the two headline taxes stop being mystery multiples: sync
-   replication's latency multiple must be pinned on the group-commit
-   ack wait (repl_ack) and the 2PC commit tax on the transaction
-   critical section (txn).  A budget that explains < 90% of
+(* Identical zipfian traffic (same seed, same offered load, below
+   saturation so attribution explains service time, not admission
+   queueing) run unreplicated, async- and sync-replicated, single-op
+   and all-transaction, each with the span store on.  The per-run
+   latency budget (Obs.Attrib over the span trees) then names the
+   stage that dominates each configuration's critical path, and each
+   headline tax is pinned on the budget stage whose summed time grew
+   most over the same-seed baseline — the per-run dominant vote
+   answers a different question (where a typical request's time goes)
+   and can be carried by requests the tax never touches (e.g. reads
+   under sync replication).  A budget that explains < 90% of
    end-to-end time fails the run: it means the stage taxonomy has a
    hole, and the numbers above it can't be trusted. *)
-let attrib_suite () =
-  note "";
-  note "### Attribution: per-stage latency budgets (where does the time go?)";
-  note "(same seed and offered load, five configurations; span trees name";
-  note " the dominant stage of each one's critical path)";
-  let module S = Service.Server in
-  let module A = Obs.Attrib in
-  let factory = Workloads.Factories.poseidon () in
-  let make () = factory.Workloads.Factories.make () in
-  let reattach mach =
-    Poseidon.instance
-      (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ())
-  in
-  (* below saturation: attribution should explain service time, not
-     admission queueing (that regime is the service suite's job) *)
-  let base scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate = 20_000.;
-      duration = (if !full then 0.05 else 0.02);
-      value_size = 128;
-      keyspace = 4096;
-      read_pct = 20;
-      queue_capacity = 64;
-      scope }
-  in
-  let txn cfg =
-    { cfg with
-      S.txn_pct = 100;
-      txn_ops = 3;
-      read_pct = 0;
-      delete_pct = 0;
-      scan_pct = 0 }
-  in
-  let runs = ref [] in
-  let run_one label ?repl cfg =
-    Obs.Span.clear ();
-    Obs.Span.start ();
-    let r =
-      match repl with
-      | None -> S.run ~make ~reattach cfg
-      | Some rcfg ->
-        (S.run_replicated
-           ~make:(fun mach -> Workloads.Factories.poseidon_on mach)
-           cfg rcfg)
-          .S.base
+let attrib () =
+  let run label ?repl ?(txn = false) () =
+    let cfg =
+      { (base ("bench/attrib/" ^ label)) with S.rate = 20_000.; read_pct = 20 }
     in
-    let att = A.analyze () in
-    Obs.Span.clear ();
-    let mode =
-      match repl with
-      | None -> "none"
-      | Some rcfg ->
-        (match rcfg.S.repl_mode with
-         | Replica.Sync -> "sync"
-         | Replica.Async -> "async")
-    in
-    runs := (label, cfg, mode, r, att) :: !runs;
-    att
+    ( label,
+      (if txn then
+         { cfg with
+           S.txn_pct = 100;
+           txn_ops = 3;
+           read_pct = 0;
+           delete_pct = 0;
+           scan_pct = 0 }
+       else cfg),
+      repl )
   in
-  let sync_rcfg = S.default_repl_config in
-  let async_rcfg = { S.default_repl_config with S.repl_mode = Replica.Async } in
-  let ua = run_one "single-unrepl" (base "bench/attrib/single-unrepl") in
-  let _ =
-    run_one "single-async" ~repl:async_rcfg (base "bench/attrib/single-async")
-  in
-  let sa =
-    run_one "single-sync" ~repl:sync_rcfg (base "bench/attrib/single-sync")
-  in
-  let ta = run_one "txn-unrepl" (txn (base "bench/attrib/txn-unrepl")) in
-  let _ =
-    run_one "txn-sync" ~repl:sync_rcfg (txn (base "bench/attrib/txn-sync"))
-  in
-  let dom (att : A.report) =
-    match A.dominant_stage att with
-    | Some row -> Obs.Span.stage_name row.A.stage
-    | None -> "-"
-  in
-  let table =
-    Tablefmt.create
-      ~title:"poseidon-kv latency budgets (4 shards, same seed and load)"
-      ~columns:
-        [ "run"; "e2e p50 ns"; "coverage"; "dominant stage"; "dom p50 ns" ]
-  in
-  List.iter
-    (fun (label, _, _, _, (att : A.report)) ->
-      let dp50 =
-        match A.dominant_stage att with
-        | Some row -> string_of_int row.A.p50_ns
-        | None -> "-"
-      in
-      Tablefmt.add_row table label
-        [ string_of_int att.A.e2e_p50_ns;
-          Printf.sprintf "%.1f%%" (100. *. att.A.coverage);
-          dom att; dp50 ])
-    (List.rev !runs);
-  Tablefmt.print table;
-  let mult a b = float_of_int a /. Float.max 1.0 (float_of_int b) in
-  (* a tax is pinned on the budget stage whose summed time grew most
-     over the same-seed baseline — the per-run dominant vote answers a
-     different question (where a typical request's time goes) and can
-     be carried by requests the tax never touches (e.g. reads under
-     sync replication) *)
-  let tax_stage (n : A.report) (d : A.report) =
-    let base st =
-      match
-        List.find_opt (fun (r : A.stage_row) -> r.A.stage = st) d.A.budget
-      with
-      | Some r -> r.A.total_ns
-      | None -> 0
-    in
-    List.fold_left
-      (fun acc (row : A.stage_row) ->
-        let delta = row.A.total_ns - base row.A.stage in
-        match acc with
-        | Some (_, best) when best >= delta -> acc
-        | _ -> Some (row.A.stage, delta))
-      None n.A.budget
-  in
-  let tax_name n d =
-    match tax_stage n d with
-    | Some (st, _) -> Obs.Span.stage_name st
-    | None -> "-"
-  in
-  note
-    "  sync-replication tax: e2e p50 %d ns vs %d ns unreplicated (%.1fx) — \
-     dominated by %s"
-    sa.A.e2e_p50_ns ua.A.e2e_p50_ns
-    (mult sa.A.e2e_p50_ns ua.A.e2e_p50_ns)
-    (tax_name sa ua);
-  note
-    "  2PC commit tax: all-txn e2e p50 %d ns vs single-op %d ns (%.1fx) — \
-     dominated by %s"
-    ta.A.e2e_p50_ns ua.A.e2e_p50_ns
-    (mult ta.A.e2e_p50_ns ua.A.e2e_p50_ns)
-    (tax_name ta ua);
-  List.iter
-    (fun (label, _, _, _, (att : A.report)) ->
-      if att.A.requests > 0 && att.A.coverage < 0.9 then begin
-        Printf.eprintf
-          "bench attrib: %s: budget explains only %.1f%% (< 90%%) of \
-           end-to-end time — stage taxonomy has a hole\n"
-          label (100. *. att.A.coverage);
-        exit 1
-      end)
-    !runs;
-  List.rev !runs
-
-(* ---------- JSON output ---------- *)
-
-let rev_json () =
-  match Repro_util.Gitrev.short () with
-  | Some r -> Obs.Json.Str r
-  | None -> Obs.Json.Null
-
-let write_doc file doc =
-  match open_out file with
-  | exception Sys_error msg ->
-    Printf.eprintf "bench: cannot write metrics snapshot: %s\n" msg;
-    exit 1
-  | oc ->
-    output_string oc (Obs.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    note "metrics snapshot written to %s" file
-
-let write_results () =
-  let module J = Obs.Json in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench/v1");
-        ("rev", rev_json ());
-        ("suite", J.Str (if !smoke then "smoke" else "figures"));
-        ("full", J.Bool !full);
-        ( "config",
-          J.Obj
-            [ ("full", J.Bool !full);
-              ( "threads",
-                J.Arr
-                  (List.map (fun t -> J.Num (float_of_int t)) !thread_counts) );
-              ( "figures",
-                J.Arr (List.map (fun n -> J.Num (float_of_int n)) !figures) );
-              ("ablations", J.Arr (List.map (fun s -> J.Str s) !ablations)) ] );
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_results.json" else !json_out) doc
-
-let write_service_results runs =
-  let module S = Service.Server in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let run_json (label, (cfg : S.config), (r : S.result)) =
-    J.Obj
-      [ ("label", J.Str label);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("value_size", num cfg.S.value_size);
-              ("keyspace", num cfg.S.keyspace);
-              ("queue_capacity", num cfg.S.queue_capacity);
-              ( "crash_at",
-                match cfg.S.crash_at with
-                | Some f -> J.Num f
-                | None -> J.Null ) ] );
-        ("offered", num r.S.offered); ("admitted", num r.S.admitted);
-        ("shed", num r.S.shed); ("completed", num r.S.completed);
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("latency", pct r.S.latency); ("service", pct r.S.service);
-        ("crashed", J.Bool r.S.crashed); ("rto_ns", num r.S.rto_ns);
-        ( "ledger",
-          J.Obj
-            [ ("checked", num r.S.ledger.S.checked);
-              ("ambiguous", num r.S.ledger.S.ambiguous);
-              ("mismatches", num r.S.ledger.S.mismatches) ] ) ]
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-service/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_service.json" else !json_out) doc
-
-let write_replication_results runs =
-  let module S = Service.Server in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let ledger (l : S.ledger_report) =
-    J.Obj
-      [ ("checked", num l.S.checked); ("ambiguous", num l.S.ambiguous);
-        ("mismatches", num l.S.mismatches) ]
-  in
-  let run_json (label, (cfg : S.config), (r : S.result), repl) =
-    J.Obj
-      [ ("label", J.Str label);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("read_pct", num cfg.S.read_pct);
-              ("seed", num cfg.S.seed);
-              ( "crash_at",
-                match cfg.S.crash_at with
-                | Some f -> J.Num f
-                | None -> J.Null ) ] );
-        ("offered", num r.S.offered); ("completed", num r.S.completed);
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("latency", pct r.S.latency);
-        ("crashed", J.Bool r.S.crashed); ("rto_ns", num r.S.rto_ns);
-        ("ledger", ledger r.S.ledger);
-        ( "replication",
-          match repl with
-          | None -> J.Null
-          | Some (rr : S.repl_result) ->
-            J.Obj
-              [ ("mode", J.Str (if rr.S.sync then "sync" else "async"));
-                ("shipped", num rr.S.shipped);
-                ("acked_records", num rr.S.acked_records);
-                ("retransmits", num rr.S.retransmits);
-                ("max_lag", num rr.S.max_lag);
-                ("backup_applied", num rr.S.backup_applied);
-                ("tail_replayed", num rr.S.tail_replayed);
-                ( "backup_ledger",
-                  match rr.S.backup_ledger with
-                  | Some l -> ledger l
-                  | None -> J.Null ) ] ) ]
-  in
-  let find label =
-    List.find_opt (fun (l, _, _, _) -> l = label) runs
-    |> Option.map (fun (_, _, (r : S.result), _) -> r.S.rto_ns)
-  in
-  let rto_cmp =
-    match (find "sync-failover", find "restart-replay") with
-    | Some promote, Some replay ->
-      J.Obj
-        [ ("promote_rto_ns", num promote); ("replay_rto_ns", num replay);
-          ("promote_beats_replay", J.Bool (promote < replay)) ]
-    | _ -> J.Null
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-replication/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ("rto", rto_cmp);
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_replication.json" else !json_out) doc
-
-let write_batch_results (runs, async_p50, best_window, best_p50) =
-  let module S = Service.Server in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let run_json (label, window, (cfg : S.config), (rr : S.repl_result)) =
-    let r = rr.S.base in
-    J.Obj
-      [ ("label", J.Str label);
-        ("mode", J.Str (if rr.S.sync then "sync" else "async"));
-        ("batch_window", num window);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("read_pct", num cfg.S.read_pct); ("seed", num cfg.S.seed);
-              ("batch_bytes", num cfg.S.batch_bytes) ] );
-        ("offered", num r.S.offered); ("completed", num r.S.completed);
-        ("shed", num r.S.shed);
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("latency", pct r.S.latency); ("service", pct r.S.service);
-        ("shipped", num rr.S.shipped);
-        ("acked_records", num rr.S.acked_records);
-        ("retransmits", num rr.S.retransmits);
-        ("link_flushes", num rr.S.link_flushes);
-        ( "backup_mismatches",
-          match rr.S.backup_ledger with
-          | Some l -> num l.S.mismatches
-          | None -> J.Null ) ]
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-batch/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ( "gate",
-          J.Obj
-            [ ("async_p50_ns", num async_p50);
-              ("best_sync_p50_ns", num best_p50);
-              ("best_window", num best_window);
-              ( "ratio",
-                J.Num
-                  (float_of_int best_p50 /. float_of_int (max 1 async_p50)) );
-              ("sync_within_2x_async", J.Bool (best_p50 <= 2 * async_p50)) ]
-        );
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_batch.json" else !json_out) doc
-
-let write_mvcc_results (runs, plain_p50, snap_p50, write_all, read95) =
-  let module S = Service.Server in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let run_json (label, (cfg : S.config), (r : S.result)) =
-    J.Obj
-      [ ("label", J.Str label);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("read_pct", num cfg.S.read_pct);
-              ("scan_pct", num cfg.S.scan_pct);
-              ("mvcc_window", num cfg.S.mvcc_window);
-              ("seed", num cfg.S.seed) ] );
-        ("offered", num r.S.offered); ("completed", num r.S.completed);
-        ("shed", num r.S.shed);
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("latency", pct r.S.latency);
-        ("read_latency", pct r.S.read_latency);
-        ("write_latency", pct r.S.write_latency);
-        ("scan_latency", pct r.S.scan_latency);
-        ( "op_mix",
-          J.Obj
-            [ ("read", num r.S.ops_read); ("write", num r.S.ops_write);
-              ("scan", num r.S.ops_scan) ] );
-        ("crashed", J.Bool r.S.crashed); ("rto_ns", num r.S.rto_ns);
-        ("ledger_mismatches", num r.S.ledger.S.mismatches) ]
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-mvcc/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ( "gate",
-          J.Obj
-            [ ("plain_read_p50_ns", num plain_p50);
-              ("snapshot_read_p50_ns", num snap_p50);
-              ( "read_overhead_ratio",
-                J.Num
-                  (float_of_int snap_p50 /. float_of_int (max 1 plain_p50))
-              );
-              ( "snapshot_within_1_25x_plain",
-                J.Bool (4 * snap_p50 <= 5 * plain_p50) );
-              ("write_all_throughput", J.Num write_all.S.throughput);
-              ("read95_throughput", J.Num read95.S.throughput);
-              ("write_all_shed", num write_all.S.shed);
-              ("read95_shed", num read95.S.shed);
-              ( "read_mix_outscales_writes",
-                J.Bool
-                  (read95.S.throughput > write_all.S.throughput
-                  && read95.S.shed <= write_all.S.shed) ) ] );
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_mvcc.json" else !json_out) doc
-
-let write_rcache_results (runs, un_p50, c_p50) =
-  let module S = Service.Server in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let run_json (label, (cfg : S.config), (r : S.result), hr) =
-    J.Obj
-      [ ("label", J.Str label);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("zipf_theta", J.Num cfg.S.zipf_theta);
-              ("read_pct", num cfg.S.read_pct);
-              ("mvcc_window", num cfg.S.mvcc_window);
-              ("rcache_entries", num cfg.S.rcache_entries);
-              ("seed", num cfg.S.seed) ] );
-        ("offered", num r.S.offered); ("completed", num r.S.completed);
-        ("shed", num r.S.shed);
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("hit_rate", J.Num hr);
-        ("latency", pct r.S.latency);
-        ("read_latency", pct r.S.read_latency);
-        ("write_latency", pct r.S.write_latency);
-        ("crashed", J.Bool r.S.crashed); ("rto_ns", num r.S.rto_ns);
-        ("ledger_mismatches", num r.S.ledger.S.mismatches) ]
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-rcache/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ( "gate",
-          J.Obj
-            [ ("uncached_read_p50_ns", num un_p50);
-              ("cached_read_p50_ns", num c_p50);
-              ( "read_speedup_ratio",
-                J.Num (float_of_int c_p50 /. float_of_int (max 1 un_p50)) );
-              ( "cached_read_p50_le_0_6x_uncached",
-                J.Bool (5 * c_p50 <= 3 * un_p50) );
-              ( "zero_ledger_mismatches",
-                J.Bool
-                  (List.for_all
-                     (fun (_, _, (r : S.result), _) ->
-                       r.S.ledger.S.mismatches = 0)
-                     runs) ) ] );
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_rcache.json" else !json_out) doc
-
-let write_alloc_results (runs, (raw_p50, raw_mean, tc_p50, tc_mean), (plain_w50, tc_w50)) =
-  let module S = Service.Server in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let run_json (label, (cfg : S.config), (r : S.result)) =
-    J.Obj
-      [ ("label", J.Str label);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("tcache_mag", num cfg.S.tcache_mag);
-              ("seed", num cfg.S.seed) ] );
-        ("offered", num r.S.offered); ("completed", num r.S.completed);
-        ("shed", num r.S.shed);
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("latency", pct r.S.latency);
-        ("write_latency", pct r.S.write_latency);
-        ("crashed", J.Bool r.S.crashed); ("rto_ns", num r.S.rto_ns);
-        ("ledger_mismatches", num r.S.ledger.S.mismatches) ]
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-alloc/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ( "micro",
-          J.Obj
-            [ ("raw_alloc_p50_ns", num raw_p50);
-              ("raw_alloc_mean_ns", J.Num raw_mean);
-              ("tcache_alloc_p50_ns", num tc_p50);
-              ("tcache_alloc_mean_ns", J.Num tc_mean) ] );
-        ( "gate",
-          J.Obj
-            [ ( "alloc_p50_ratio",
-                J.Num (float_of_int tc_p50 /. float_of_int (max 1 raw_p50)) );
-              ( "alloc_p50_dropped_25pct",
-                J.Bool (4 * tc_p50 <= 3 * raw_p50) );
-              ("mag0_write_p50_ns", num plain_w50);
-              ("tcache_write_p50_ns", num tc_w50);
-              ("serve_write_p50_dropped", J.Bool (tc_w50 < plain_w50)) ] );
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_alloc.json" else !json_out) doc
-
-let write_txn_results runs =
-  let module S = Service.Server in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let run_json (label, (cfg : S.config), (r : S.result)) =
-    let attempts = r.S.txns_committed + r.S.txns_aborted in
-    J.Obj
-      [ ("label", J.Str label);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("txn_pct", num cfg.S.txn_pct); ("txn_ops", num cfg.S.txn_ops);
-              ("seed", num cfg.S.seed);
-              ( "crash_at",
-                match cfg.S.crash_at with
-                | Some f -> J.Num f
-                | None -> J.Null ) ] );
-        ("offered", num r.S.offered); ("completed", num r.S.completed);
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("latency", pct r.S.latency);
-        ("txns_committed", num r.S.txns_committed);
-        ("txns_aborted", num r.S.txns_aborted);
-        ( "abort_rate",
-          J.Num
-            (float_of_int r.S.txns_aborted
-            /. Float.max 1.0 (float_of_int attempts)) );
-        ("txn_latency", pct r.S.txn_latency);
-        ("crashed", J.Bool r.S.crashed); ("rto_ns", num r.S.rto_ns);
-        ( "ledger",
-          J.Obj
-            [ ("checked", num r.S.ledger.S.checked);
-              ("ambiguous", num r.S.ledger.S.ambiguous);
-              ("mismatches", num r.S.ledger.S.mismatches) ] ) ]
-  in
-  let find label =
-    List.find_opt (fun (l, _, _) -> l = label) runs
-    |> Option.map (fun (_, _, r) -> r)
-  in
-  let tax =
-    match (find "baseline", find "txn25-2op") with
-    | Some b, Some t when t.S.txn_latency.S.samples > 0 ->
-      J.Obj
-        [ ("baseline_p50_ns", num b.S.latency.S.p50);
-          ("txn_p50_ns", num t.S.txn_latency.S.p50);
-          ("txn_over_single_p50",
-           J.Num
-             (float_of_int t.S.txn_latency.S.p50
-             /. Float.max 1.0 (float_of_int b.S.latency.S.p50))) ]
-    | _ -> J.Null
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-txn/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ("commit_latency_tax", tax);
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_txn.json" else !json_out) doc
-
-let write_attrib_results runs =
-  let module S = Service.Server in
-  let module A = Obs.Attrib in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let run_json (label, (cfg : S.config), mode, (r : S.result), att) =
-    J.Obj
-      [ ("label", J.Str label);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("txn_pct", num cfg.S.txn_pct); ("txn_ops", num cfg.S.txn_ops);
-              ("seed", num cfg.S.seed); ("replication", J.Str mode) ] );
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("latency", pct r.S.latency); ("txn_latency", pct r.S.txn_latency);
-        ("attribution", A.report_json att) ]
-  in
-  let find label =
-    List.find_opt (fun (l, _, _, _, _) -> l = label) runs
-    |> Option.map (fun (_, _, _, _, a) -> a)
-  in
-  let dom_name (a : A.report) =
-    match A.dominant_stage a with
-    | Some row -> J.Str (Obs.Span.stage_name row.A.stage)
+  let att w = Option.get w.att in
+  let stage_name = function
+    | Some (row : A.stage_row) -> J.Str (Obs.Span.stage_name row.A.stage)
     | None -> J.Null
   in
-  (* the headline pins: each tax's latency multiple plus the budget
-     stage the span trees blame it on — the stage whose summed time
-     grew most over the same-seed baseline *)
   let tax_stage (n : A.report) (d : A.report) =
     let base st =
       match
@@ -2013,48 +1223,98 @@ let write_attrib_results runs =
         | _ -> Some (row.A.stage, delta))
       None n.A.budget
   in
-  let pin nom den =
-    match (find nom, find den) with
-    | Some (n : A.report), Some (d : A.report) ->
-      J.Obj
-        [ ("p50_ns", num n.A.e2e_p50_ns);
-          ("baseline_p50_ns", num d.A.e2e_p50_ns);
-          ( "multiple",
-            J.Num
-              (float_of_int n.A.e2e_p50_ns
-              /. Float.max 1.0 (float_of_int d.A.e2e_p50_ns)) );
-          ( "dominant_stage",
-            match tax_stage n d with
-            | Some (st, _) -> J.Str (Obs.Span.stage_name st)
-            | None -> J.Null );
-          ( "dominant_stage_delta_ns",
-            match tax_stage n d with
-            | Some (_, delta) -> num delta
-            | None -> J.Null );
-          ("vote_dominant_stage", dom_name n);
-          ("coverage", J.Num n.A.coverage) ]
-    | _ -> J.Null
-  in
-  let doc =
+  let pin name n d =
+    let tax = tax_stage n d in
+    note "  %s: e2e p50 %d ns vs %d ns (%.1fx) — dominated by %s" name
+      n.A.e2e_p50_ns d.A.e2e_p50_ns
+      (ratio n.A.e2e_p50_ns d.A.e2e_p50_ns)
+      (Option.fold ~none:"-" ~some:(fun (st, _) -> Obs.Span.stage_name st) tax);
     J.Obj
-      [ ("schema", J.Str "poseidon-bench-attrib/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ( "pins",
-          J.Obj
-            [ ("sync_replication_tax", pin "single-sync" "single-unrepl");
-              ("txn_commit_tax", pin "txn-unrepl" "single-unrepl") ] );
-        ("metrics", Obs.Metrics.snapshot ()) ]
+      [ ("p50_ns", num n.A.e2e_p50_ns);
+        ("baseline_p50_ns", num d.A.e2e_p50_ns);
+        ("multiple", J.Num (ratio n.A.e2e_p50_ns d.A.e2e_p50_ns));
+        ( "dominant_stage",
+          Option.fold ~none:J.Null
+            ~some:(fun (st, _) -> J.Str (Obs.Span.stage_name st))
+            tax );
+        ( "dominant_stage_delta_ns",
+          Option.fold ~none:J.Null ~some:(fun (_, delta) -> num delta) tax );
+        ("vote_dominant_stage", stage_name (A.dominant_stage n));
+        ("coverage", J.Num n.A.coverage) ]
   in
-  write_doc (if !json_out = "" then "BENCH_attrib.json" else !json_out) doc
+  { title = "poseidon-kv latency budgets (4 shards, same seed and load)";
+    runs =
+      [ run "single-unrepl" (); run "single-async" ~repl:async_rcfg ();
+        run "single-sync" ~repl:sync_rcfg (); run "txn-unrepl" ~txn:true ();
+        run "txn-sync" ~repl:sync_rcfg ~txn:true () ];
+    spans = true;
+    columns =
+      [ int_col "e2e p50 ns" (fun w -> (att w).A.e2e_p50_ns);
+        ("coverage", fun w -> Printf.sprintf "%.1f%%" (100. *. (att w).A.coverage));
+        ( "dominant stage",
+          fun w ->
+            match A.dominant_stage (att w) with
+            | Some row -> Obs.Span.stage_name row.A.stage
+            | None -> "-" );
+        ( "dom p50 ns",
+          fun w ->
+            match A.dominant_stage (att w) with
+            | Some row -> string_of_int row.A.p50_ns
+            | None -> "-" ) ];
+    extras = (fun w -> [ ("attribution", A.report_json (att w)) ]);
+    gate =
+      (fun rows ->
+        let a label = att (find rows label) in
+        let unrepl = a "single-unrepl" in
+        let sync = pin "sync-replication tax" (a "single-sync") unrepl in
+        let txn = pin "2PC commit tax" (a "txn-unrepl") unrepl in
+        ( [ ( "pins",
+              J.Obj
+                [ ("sync_replication_tax", sync); ("txn_commit_tax", txn) ] ) ],
+          List.filter_map
+            (fun w ->
+              let r = att w in
+              if r.A.requests > 0 && r.A.coverage < 0.9 then
+                Some
+                  (Printf.sprintf
+                     "%s: budget explains only %.1f%% (< 90%%) of end-to-end \
+                      time — stage taxonomy has a hole"
+                     w.label (100. *. r.A.coverage))
+              else None)
+            rows )) }
 
 (* ---------- driver ---------- *)
+
+let write_figures name file =
+  write_doc file
+    (J.Obj
+       [ ("schema", J.Str "poseidon-bench/v1"); ("rev", rev_json ());
+         ("suite", J.Str name); ("full", J.Bool !full);
+         ( "config",
+           J.Obj
+             [ ("full", J.Bool !full);
+               ("threads", J.Arr (List.map num !thread_counts));
+               ("figures", J.Arr (List.map num !figures));
+               ("ablations", J.Arr (List.map (fun s -> J.Str s) !ablations)) ]
+         );
+         ("metrics", Obs.Metrics.snapshot ()) ])
+
+(* Every registered suite writes BENCH_<name>.json unless --json-out
+   names another file. *)
+let suites =
+  let serve name mk = (name, fun file -> run_suite name (mk ()) file) in
+  [ serve "service" service; serve "replication" replication;
+    serve "txn" txn; serve "attrib" attrib; serve "batch" batch;
+    serve "mvcc" mvcc; serve "alloc" alloc; serve "rcache" rcache;
+    ( "smoke",
+      fun file ->
+        smoke_suite ();
+        write_figures "smoke" file ) ]
 
 let () =
   let usage =
     "bench/main.exe [--figure N]... [--ablation NAME]... [--suite NAME] \
-     [--full] [--threads LIST] [--bechamel] [--smoke] [--json-out FILE]"
+     [--full] [--threads LIST] [--bechamel] [--json-out FILE]"
   in
   let spec =
     [ ( "--figure",
@@ -2070,95 +1330,46 @@ let () =
             thread_counts := List.map int_of_string (String.split_on_char ',' s)),
         "LIST  comma-separated thread counts" );
       ("--bechamel", Arg.Set run_bechamel, " also run the wall-clock suite");
-      ("--smoke", Arg.Set smoke, " quick sanity suite only (for CI)");
       ( "--suite",
         Arg.Set_string suite,
-        "NAME  run a named suite instead of the figures ('service':\n\
-        \        poseidon-kv rate sweep + crash run -> BENCH_service.json;\n\
-        \        'replication': sync/async tax + promote-vs-replay RTO ->\n\
-        \        BENCH_replication.json; 'txn': cross-shard 2PC abort rate\n\
-        \        + commit-latency tax -> BENCH_txn.json; 'attrib': per-stage\n\
-        \        latency budgets + dominant-stage pins -> BENCH_attrib.json;\n\
-        \        'batch': group-commit window sweep, sync-vs-async p50 gate\n\
-        \        -> BENCH_batch.json; 'mvcc': read-mix sweep + snapshot-read\n\
-        \        overhead gate -> BENCH_mvcc.json; 'alloc': magazine-cache\n\
-        \        alloc p50 + serve write p50 gates -> BENCH_alloc.json;\n\
-        \        'rcache': read-cache hit-rate/skew sweep + cached-read\n\
-        \        p50 gate -> BENCH_rcache.json)" );
+        "NAME  run a registered suite instead of the figures, writing \
+         BENCH_NAME.json: "
+        ^ String.concat ", " (List.map fst suites) );
       ( "--json-out",
         Arg.Set_string json_out,
         "FILE  metrics snapshot destination (default BENCH_results.json, \
-         BENCH_service.json / BENCH_replication.json for the named suites)" ) ]
+         BENCH_NAME.json for --suite NAME)" ) ]
   in
   Arg.parse spec (fun _ -> ()) usage;
   note "Poseidon reproduction benchmark suite";
   note "(simulated 64-CPU, 2-NUMA-node machine with Optane-like NVMM;";
   note " see DESIGN.md and EXPERIMENTS.md for the methodology)";
-  if !suite = "service" then begin
-    let runs = service_suite () in
-    write_service_results runs;
-    exit 0
+  let out default = if !json_out = "" then default else !json_out in
+  if !suite <> "" then begin
+    match List.assoc_opt !suite suites with
+    | Some run -> run (out ("BENCH_" ^ !suite ^ ".json"))
+    | None ->
+      Printf.eprintf "bench: unknown suite %S (known: %s)\n" !suite
+        (String.concat ", " (List.map fst suites));
+      exit 2
   end
-  else if !suite = "replication" then begin
-    let runs = replication_suite () in
-    write_replication_results runs;
-    exit 0
+  else begin
+    let default = !figures = [] && !ablations = [] in
+    let run_fig n = default || List.mem n !figures in
+    let run_abl s = default || List.mem s !ablations in
+    if run_fig 3 then figure3 ();
+    if run_fig 6 then figure6 ();
+    if run_fig 7 then figure7 ();
+    if run_fig 8 then figure8 ();
+    if run_fig 9 then figure9 ();
+    if run_abl "index" then ablation_index ();
+    if run_abl "capacity" then ablation_capacity ();
+    if run_abl "costs" then ablation_costs ();
+    if run_abl "subheap" then ablation_subheap_mpk ();
+    if run_abl "ycsb-abc" then extension_ycsb_abc ();
+    if run_abl "trace" then extension_trace_replay ();
+    if run_abl "remote-free" then extension_remote_free ();
+    if run_abl "exthash" then extension_exthash ();
+    if !run_bechamel then bechamel_suite ();
+    write_figures "figures" (out "BENCH_results.json")
   end
-  else if !suite = "txn" then begin
-    let runs = txn_suite () in
-    write_txn_results runs;
-    exit 0
-  end
-  else if !suite = "attrib" then begin
-    let runs = attrib_suite () in
-    write_attrib_results runs;
-    exit 0
-  end
-  else if !suite = "batch" then begin
-    let res = batch_suite () in
-    write_batch_results res;
-    exit 0
-  end
-  else if !suite = "mvcc" then begin
-    let res = mvcc_suite () in
-    write_mvcc_results res;
-    exit 0
-  end
-  else if !suite = "alloc" then begin
-    let res = alloc_suite () in
-    write_alloc_results res;
-    exit 0
-  end
-  else if !suite = "rcache" then begin
-    let res = rcache_suite () in
-    write_rcache_results res;
-    exit 0
-  end
-  else if !suite <> "" then begin
-    Printf.eprintf
-      "bench: unknown suite %S (known: service, replication, txn, attrib, \
-       batch, mvcc, alloc, rcache)\n"
-      !suite;
-    exit 2
-  end;
-  (if !smoke then smoke_suite ()
-   else begin
-     let default = !figures = [] && !ablations = [] in
-     let run_fig n = default || List.mem n !figures in
-     let run_abl s = default || List.mem s !ablations in
-     if run_fig 3 then figure3 ();
-     if run_fig 6 then figure6 ();
-     if run_fig 7 then figure7 ();
-     if run_fig 8 then figure8 ();
-     if run_fig 9 then figure9 ();
-     if run_abl "index" then ablation_index ();
-     if run_abl "capacity" then ablation_capacity ();
-     if run_abl "costs" then ablation_costs ();
-     if run_abl "subheap" then ablation_subheap_mpk ();
-     if run_abl "ycsb-abc" then extension_ycsb_abc ();
-     if run_abl "trace" then extension_trace_replay ();
-     if run_abl "remote-free" then extension_remote_free ();
-     if run_abl "exthash" then extension_exthash ();
-     if !run_bechamel then bechamel_suite ()
-   end);
-  write_results ()

@@ -867,13 +867,6 @@ let serve_cmd =
      | None -> ()
      | Some file ->
        let module J = Obs.Json in
-       let num i = J.Num (float_of_int i) in
-       let pct (p : S.percentiles) =
-         J.Obj
-           [ ("p50", num p.S.p50); ("p99", num p.S.p99);
-             ("p999", num p.S.p999); ("mean", J.Num p.S.mean);
-             ("max", num p.S.max); ("samples", num p.S.samples) ]
-       in
        let json =
          J.Obj
            [ ("schema", J.Str "poseidon-serve/v1");
@@ -881,87 +874,8 @@ let serve_cmd =
                match Repro_util.Gitrev.short () with
                | Some r -> J.Str r
                | None -> J.Null );
-             ( "config",
-               J.Obj
-                 [ ("shards", num shards); ("clients", num clients);
-                   ("rate", J.Num rate); ("duration", J.Num duration);
-                   ("value_size", num value_size); ("zipf_theta", J.Num zipf);
-                   ("keyspace", num keyspace);
-                   ("queue_capacity", num queue);
-                   ("read_pct", num read_pct); ("scan_pct", num scan_pct);
-                   ("txn_pct", num txn_pct); ("txn_ops", num txn_ops);
-                   ("batch_window", num batch_window);
-                   ("batch_bytes", num batch_bytes);
-                   ("mvcc_window", num mvcc_window);
-                   ("tcache_mag", num tcache_mag);
-                   ("rcache_entries", num rcache_entries);
-                   ( "crash_at",
-                     match crash_at with
-                     | Some f -> J.Num f
-                     | None -> J.Null );
-                   ("seed", num seed) ] );
-             ( "results",
-               J.Obj
-                 [ ("offered", num r.S.offered);
-                   ("admitted", num r.S.admitted); ("shed", num r.S.shed);
-                   ("completed", num r.S.completed);
-                   ("acked_mutations", num r.S.acked_mutations);
-                   ("sim_ns", num r.S.sim_ns);
-                   ("throughput", J.Num r.S.throughput);
-                   ("goodput", J.Num r.S.goodput);
-                   ("latency", pct r.S.latency);
-                   ("service", pct r.S.service);
-                   ("crashed", J.Bool r.S.crashed);
-                   ("rto_ns", num r.S.rto_ns);
-                   ( "recovery",
-                     match r.S.recovery with
-                     | Some rc ->
-                       J.Obj
-                         [ ("replayed", num rc.Service.Kv.replayed);
-                           ("rolled_back", num rc.Service.Kv.rolled_back) ]
-                     | None -> J.Null );
-                   ( "ledger",
-                     J.Obj
-                       [ ("checked", num r.S.ledger.S.checked);
-                         ("ambiguous", num r.S.ledger.S.ambiguous);
-                         ("mismatches", num r.S.ledger.S.mismatches) ] );
-                   ("in_flight_at_crash", num r.S.in_flight_at_crash);
-                   ("queue_max_depth", num r.S.queue_max_depth);
-                   ("txns_committed", num r.S.txns_committed);
-                   ("txns_aborted", num r.S.txns_aborted);
-                   ("txn_latency", pct r.S.txn_latency);
-                   ("read_latency", pct r.S.read_latency);
-                   ("write_latency", pct r.S.write_latency);
-                   ("scan_latency", pct r.S.scan_latency);
-                   ( "op_mix",
-                     J.Obj
-                       [ ("read", num r.S.ops_read);
-                         ("write", num r.S.ops_write);
-                         ("scan", num r.S.ops_scan) ] );
-                   ( "replication",
-                     match repl with
-                     | None -> J.Null
-                     | Some rr ->
-                       J.Obj
-                         [ ( "mode",
-                             J.Str (if rr.S.sync then "sync" else "async") );
-                           ("shipped", num rr.S.shipped);
-                           ("acked_records", num rr.S.acked_records);
-                           ("retransmits", num rr.S.retransmits);
-                           ("max_lag", num rr.S.max_lag);
-                           ("link_dropped", num rr.S.link_dropped);
-                           ("link_duplicated", num rr.S.link_duplicated);
-                           ("backup_applied", num rr.S.backup_applied);
-                           ("tail_replayed", num rr.S.tail_replayed);
-                           ("indoubt_aborted", num rr.S.indoubt_aborted);
-                           ( "backup_ledger",
-                             match rr.S.backup_ledger with
-                             | Some l ->
-                               J.Obj
-                                 [ ("checked", num l.S.checked);
-                                   ("ambiguous", num l.S.ambiguous);
-                                   ("mismatches", num l.S.mismatches) ]
-                             | None -> J.Null ) ] ) ] );
+             ("config", S.config_json cfg);
+             ("results", S.result_json ?repl r);
              ("attribution", Obs.Attrib.report_json att);
              ("metrics", Obs.Metrics.snapshot ()) ]
        in
@@ -970,15 +884,7 @@ let serve_cmd =
          ~finally:(fun () -> close_out oc)
          (fun () -> output_string oc (J.to_string json));
        Printf.printf "results -> %s\n" file);
-    let backup_mismatch =
-      match repl with
-      | Some rr when rr.S.sync -> (
-        match rr.S.backup_ledger with
-        | Some l -> l.S.mismatches > 0
-        | None -> false)
-      | _ -> false
-    in
-    if r.S.ledger.S.mismatches > 0 || backup_mismatch then begin
+    if S.acked_writes_lost ?repl r then begin
       Printf.eprintf "serve: LEDGER MISMATCH — acked writes lost\n";
       1
     end

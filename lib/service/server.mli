@@ -235,3 +235,25 @@ val run_replicated :
     [repl_retransmits], [repl_max_lag], [repl_backup_applied],
     [repl_tail_replayed], link fault counters and the [repl_lag_ns]
     histogram (ship→applied latency seen at the backup). *)
+
+(** {2 Result encoding}
+
+    The one JSON shape of a serve run, written by [serve --json-out]
+    and by every bench suite row. *)
+
+val config_json : config -> Obs.Json.v
+(** The traffic and store knobs of [config]: every field except
+    [delete_pct], [preload] and [scope], in declaration order with
+    [crash_at] and [seed] last. *)
+
+val result_json : ?repl:repl_result -> result -> Obs.Json.v
+(** Every field of [result], percentiles as
+    [{p50, p99, p999, mean, max, samples}], ending with a
+    ["replication"] object built from [repl] ([null] without it).  For
+    a replicated run pass the [repl_result] and its [base]. *)
+
+val acked_writes_lost : ?repl:repl_result -> result -> bool
+(** [true] when the serving store failed to reproduce an acked write
+    ([ledger.mismatches > 0]), or when a clean replicated run's backup
+    diverged from the same ledger — in either replication mode, since
+    a clean run drains the shipping pump before the backup check. *)

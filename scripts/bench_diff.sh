@@ -1,17 +1,20 @@
 #!/bin/sh
 # Bench regression gate: compare each freshly produced BENCH_*.json
 # against the baseline committed at HEAD and fail on a >25% regression
-# in any gated p50 metric (the "*_p50_ns" fields the suite writers emit
-# alongside their pass/fail gates).  The simulation clock is
-# deterministic, so any drift is a code change, not measurement noise.
+# in any gated p50 metric (the "*_p50_ns" fields the suite gates
+# emit).  The simulation clock is deterministic, so any drift is a
+# code change, not measurement noise.
+#
+# Usage: scripts/bench_diff.sh [DIR]   (fresh snapshots; default: repo root)
 #
 # Metrics are paired by name in document order (BENCH_attrib.json emits
 # several runs under the same e2e_p50_ns name; the nth fresh occurrence
-# is compared against the nth baseline occurrence).  A snapshot whose
-# metric-name sequence changed shape -- a new suite, a renamed gate --
-# is skipped with a warning instead of failing, so intentional schema
-# changes only need the refreshed baseline committed alongside them.
+# is compared against the nth baseline occurrence).  A snapshot with no
+# committed baseline, or whose gated-name sequence differs from its
+# baseline's -- a renamed or dropped gate -- fails: commit the
+# refreshed baseline alongside an intended schema change.
 set -eu
+dir=$(cd "${1:-.}" && pwd)
 cd "$(dirname "$0")/.."
 
 # Emit "name value" lines for every gated p50 in document order.
@@ -23,27 +26,30 @@ tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
 fail=0
-for f in BENCH_*.json; do
+for f in "$dir"/BENCH_*.json; do
   [ -f "$f" ] || continue
-  if ! git cat-file -e "HEAD:$f" 2>/dev/null; then
-    echo "bench_diff: $f has no committed baseline, skipping"
+  name=$(basename "$f")
+  if ! git cat-file -e "HEAD:$name" 2>/dev/null; then
+    echo "bench_diff: $name has no committed baseline"
+    fail=1
     continue
   fi
-  git show "HEAD:$f" >"$tmpdir/base.json"
+  git show "HEAD:$name" >"$tmpdir/base.json"
   extract "$tmpdir/base.json" >"$tmpdir/base.m"
   extract "$f" >"$tmpdir/fresh.m"
-  if ! [ -s "$tmpdir/base.m" ]; then
-    echo "bench_diff: $f has no gated p50 metrics, skipping"
+  if [ "$(cut -d' ' -f1 "$tmpdir/base.m")" != "$(cut -d' ' -f1 "$tmpdir/fresh.m")" ]; then
+    echo "bench_diff: $name gated-metric names differ from the baseline's:"
+    diff "$tmpdir/base.m" "$tmpdir/fresh.m" || true
+    fail=1
     continue
   fi
-  if [ "$(cut -d' ' -f1 "$tmpdir/base.m")" != "$(cut -d' ' -f1 "$tmpdir/fresh.m")" ]; then
-    echo "bench_diff: WARNING: $f gated-metric set changed shape;" \
-      "skipping comparison (commit the refreshed baseline)"
+  if ! [ -s "$tmpdir/base.m" ]; then
+    echo "bench_diff: $name has no gated p50 metrics"
     continue
   fi
   # base.m / fresh.m now agree line-for-line on metric names; compare values.
   if ! paste -d' ' "$tmpdir/base.m" "$tmpdir/fresh.m" |
-    awk -v file="$f" '
+    awk -v file="$name" '
       4 * $4 > 5 * $2 {
         printf "bench_diff: %s: %s regressed %d -> %d ns (>25%%)\n",
           file, $1, $2, $4
@@ -61,7 +67,8 @@ for f in BENCH_*.json; do
 done
 
 if [ "$fail" -ne 0 ]; then
-  echo "bench_diff: FAILED -- at least one gated p50 regressed by more than 25%"
+  echo "bench_diff: FAILED -- a gated p50 regressed by more than 25%," \
+    "changed name, or has no committed baseline"
   exit 1
 fi
 echo "bench_diff: OK"

@@ -2,7 +2,8 @@
 # Tier-1 verification: shell lint, full build, every test suite, the
 # persistency-model-checker gates (including the cross-shard 2PC
 # protocol and its seeded-mutation sanity check), crash/failover serve
-# smokes, the golden serve gate and a benchmark determinism gate.
+# smokes, the golden serve gate, a benchmark determinism gate and the
+# bench_diff self-test.
 #
 # Every randomized gate runs under CRASH_SEED (default 42), and a red
 # run prints the failing step plus the seed, so a CI failure replays
@@ -180,16 +181,41 @@ rm -rf "$tracedir"
 # (only the git rev line may differ).
 step="bench determinism gate"
 tmpdir="$(mktemp -d)"
-dune exec bench/main.exe -- --smoke --json-out "$tmpdir/a.json" > /dev/null
-dune exec bench/main.exe -- --smoke --json-out "$tmpdir/b.json" > /dev/null
+dune exec bench/main.exe -- --suite smoke --json-out "$tmpdir/a.json" > /dev/null
+dune exec bench/main.exe -- --suite smoke --json-out "$tmpdir/b.json" > /dev/null
 sed 's/"rev":[^,}]*//' "$tmpdir/a.json" > "$tmpdir/a.norm"
 sed 's/"rev":[^,}]*//' "$tmpdir/b.json" > "$tmpdir/b.norm"
 if ! diff -u "$tmpdir/a.norm" "$tmpdir/b.norm" > /dev/null; then
-  echo "check: bench --smoke is NOT deterministic across identical runs:" >&2
+  echo "check: bench --suite smoke is NOT deterministic across identical runs:" >&2
   diff -u "$tmpdir/a.norm" "$tmpdir/b.norm" >&2 || true
   rm -rf "$tmpdir"
   exit 1
 fi
+rm -rf "$tmpdir"
+# bench_diff self-test: the regression gate must pass the committed
+# snapshots unchanged, and MUST flag (non-zero exit) a gated p50
+# raised 30%, a renamed gated field and a snapshot with no committed
+# baseline, or a bench writer change could drop its gates unnoticed.
+step="bench_diff self-test"
+tmpdir="$(mktemp -d)"
+mkdir "$tmpdir/ok" "$tmpdir/slow" "$tmpdir/renamed" "$tmpdir/new"
+for f in $(git ls-files 'BENCH_*.json'); do
+  git show "HEAD:$f" > "$tmpdir/ok/$f"
+done
+sh scripts/bench_diff.sh "$tmpdir/ok" > /dev/null
+v=$(grep -o '"txn_p50_ns":[0-9]*' "$tmpdir/ok/BENCH_txn.json" | cut -d: -f2)
+sed "s/\"txn_p50_ns\":$v/\"txn_p50_ns\":$((v * 13 / 10))/" \
+  "$tmpdir/ok/BENCH_txn.json" > "$tmpdir/slow/BENCH_txn.json"
+sed 's/"txn_p50_ns"/"txn_p50"/' "$tmpdir/ok/BENCH_txn.json" \
+  > "$tmpdir/renamed/BENCH_txn.json"
+cp "$tmpdir/ok/BENCH_txn.json" "$tmpdir/new/BENCH_unbaselined.json"
+for case in slow renamed new; do
+  if sh scripts/bench_diff.sh "$tmpdir/$case" > /dev/null 2>&1; then
+    echo "check: bench_diff FAILED to flag the seeded \"$case\" snapshot" >&2
+    rm -rf "$tmpdir"
+    exit 1
+  fi
+done
 rm -rf "$tmpdir"
 # golden serve gate: a fixed matrix of serve runs at seed 42 (local
 # crash + txn; local with every DRAM cache armed; replicated sync with
@@ -232,4 +258,4 @@ dune exec bin/main.exe -- serve --shards 2 --clients 8 --rate 40000 \
   --crash-at 0.5 --seed "$CRASH_SEED" > /dev/null
 
 step="done"
-echo "check: lint + build + tests + crashcheck (incl. 2PC + batching + MVCC + tcache + rcache gates) + serve/txn/failover/mvcc/tcache/rcache smokes + trace validity + determinism + golden serve OK"
+echo "check: lint + build + tests + crashcheck (incl. 2PC + batching + MVCC + tcache + rcache gates) + serve/txn/failover/mvcc/tcache/rcache smokes + trace validity + determinism + bench_diff self-test + golden serve OK"

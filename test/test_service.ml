@@ -180,6 +180,29 @@ let test_invalid_configs () =
   rejects "Server.run_replicated" "wire_ns 0" (fun () ->
       ignore (repl_serve base_cfg { S.default_repl_config with S.wire_ns = 0 }))
 
+(* [acked_writes_lost] is the one ledger verdict of [serve] and of
+   every bench row: a primary mismatch, or a backup mismatch in either
+   replication mode (a clean run drains the async pump before the
+   backup check, so async convergence is checked too). *)
+let test_acked_writes_lost () =
+  let rr =
+    S.run_replicated
+      ~make:(fun mach -> Workloads.Factories.poseidon_on mach)
+      { base_cfg with S.scope = "test/service/lost" }
+      { S.default_repl_config with S.repl_mode = Replica.Async }
+  in
+  let r = rr.S.base in
+  let bad = { S.checked = 1; ambiguous = 0; mismatches = 1 } in
+  check "async backup checked" true (rr.S.backup_ledger <> None);
+  check "clean async run" false (S.acked_writes_lost ~repl:rr r);
+  check "primary mismatch" true (S.acked_writes_lost { r with S.ledger = bad });
+  check "async backup mismatch" true
+    (S.acked_writes_lost ~repl:{ rr with S.backup_ledger = Some bad } r);
+  check "sync backup mismatch" true
+    (S.acked_writes_lost
+       ~repl:{ rr with S.backup_ledger = Some bad; sync = true }
+       r)
+
 (* ---------- crashcheck sweep of the KV write path ---------- *)
 
 let test_crashcheck_kv () =
@@ -209,7 +232,9 @@ let () =
           Alcotest.test_case "overload sheds instead of deadlocking" `Quick
             test_backpressure_sheds;
           Alcotest.test_case "invalid configs rejected by both entry points"
-            `Quick test_invalid_configs ] );
+            `Quick test_invalid_configs;
+          Alcotest.test_case "acked-writes-lost verdict, both modes" `Quick
+            test_acked_writes_lost ] );
       ( "crashcheck",
         [ Alcotest.test_case "kv scenarios: bounded sweep clean" `Quick
             test_crashcheck_kv ] ) ]
