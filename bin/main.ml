@@ -256,7 +256,8 @@ let crashcheck_cmd =
              kv-rcache-put (DRAM read cache armed; every cached read \
              audited against the completed-prefix model), broken / \
              kv-txn-broken / kv-batched-broken / mvcc-broken / \
-             tcache-broken / rcache-broken (deliberately buggy, for \
+             tcache-broken / tcache-hwm-broken / rcache-broken \
+             (deliberately buggy, for \
              mutation sanity checks) or all (every correct one).")
   in
   let max_points_arg =

@@ -39,6 +39,7 @@ type t = {
   mutable tc_misses : int;
   mutable tc_refills : int;
   mutable tc_flushes : int;
+  mutable tc_hwm_broken : bool; (* seeded fault, see {!tc_break_hwm} *)
 }
 
 let mk_counters heap_id =
@@ -126,7 +127,8 @@ let create mach ~base ~size ~heap_id ?(sub_data_size = default_sub_data_size)
     tc_hits = 0;
     tc_misses = 0;
     tc_refills = 0;
-    tc_flushes = 0 }
+    tc_flushes = 0;
+    tc_hwm_broken = false }
 
 let meta_region_size h =
   Layout.meta_size ~base_buckets:h.base_buckets ~levels:Layout.max_levels
@@ -181,7 +183,8 @@ let attach mach ~base ?(protected = true) () =
     tc_hits = 0;
     tc_misses = 0;
     tc_refills = 0;
-    tc_flushes = 0 }
+    tc_flushes = 0;
+    tc_hwm_broken = false }
   in
   let meta_size = meta_region_size h in
   for slot = 0 to num_slots - 1 do
@@ -439,7 +442,8 @@ let tc_stash h (ptr : Alloc_intf.nvmptr) =
                   match Subheap.tc_slot_acquire sh with
                   | None -> None
                   | Some slot ->
-                    Subheap.tc_lease_set sh slot ptr.off;
+                    Subheap.tc_lease_set ~raise_hwm:(not h.tc_hwm_broken)
+                      sh slot ptr.off;
                     Obs.Metrics.incr h.c_frees;
                     Obs.Trace.emit2 Obs.Event.Free ptr.off ptr.subheap;
                     Some (slot, size)))
@@ -492,6 +496,8 @@ let tc_reclaim h blocks =
                       Subheap.tc_slot_release sh b.Alloc_intf.cb_lease)
                   batch))
         by_sh)
+
+let tc_break_hwm h = h.tc_hwm_broken <- true
 
 let cache_ops h =
   Some

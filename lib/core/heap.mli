@@ -130,6 +130,12 @@ val cache_ops : t -> Alloc_intf.cache_ops option
     carving, reclaim-ledger leases, deferred bulk frees.  See
     DESIGN.md §14 and lib/tcache. *)
 
+val tc_break_hwm : t -> unit
+(** Seeded fault for the crashcheck [tcache-hwm-broken] scenario: from
+    now on a magazine free persists its reclaim lease without first
+    raising the ledger's high-water mark, so a lease above the hwm
+    escapes recovery's scan.  Never call it outside that check. *)
+
 type stats = {
   subheaps_active : int;
   invalid_frees : int;

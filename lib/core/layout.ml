@@ -82,11 +82,16 @@ let sh_off_base_buckets = sh_off_level_live + (max_levels * word)
 (* Thread-cache reclaim ledger (one word per slot): offset+1 of a
    block that is allocated in the metadata but owned by a volatile
    magazine cache — either carved ahead of use or freed into a bin —
-   so recovery must deallocate it.  0 = slot free.  The area lives in
-   the header page's existing padding, so heaps formatted before the
-   cache existed attach unchanged (their ledger reads all-zero). *)
+   so recovery must deallocate it.  0 = slot free.  The high-water
+   word in front of it bounds the armed slots: in every durable state
+   each nonzero ledger word lies below it, so format writes only that
+   word and recovery scans only [0, hwm).  It shares the cache line of
+   [sh_off_base_buckets], which attach already reads.  The area lives
+   in the header page's existing padding, so heaps formatted before
+   the cache existed attach unchanged (their hwm word reads 0). *)
 let tc_ledger_cap = 256
-let sh_off_tc_ledger = sh_off_base_buckets + word
+let sh_off_tc_hwm = sh_off_base_buckets + word
+let sh_off_tc_ledger = sh_off_tc_hwm + word
 
 let sh_header_size =
   let last = sh_off_tc_ledger + (tc_ledger_cap * word) in

@@ -25,10 +25,12 @@ type t = {
   mutable stat_tx_commits : int;
   mutable stat_tx_aborts : int;
   mutable stat_recovery_replays : int;
-  (* volatile free-slot stack of the thread-cache reclaim ledger,
-     rebuilt lazily from the persistent area (all-zero after recovery) *)
+  (* volatile free-slot stack of the thread-cache reclaim ledger:
+     every slot is free after format and after recovery, and released
+     slots go back on top of the never-used ones, so a slot at the
+     high-water mark is taken only when every slot below it is leased *)
   mutable tc_free_slots : int list;
-  mutable tc_slots_ready : bool;
+  mutable tc_hwm : int; (* volatile mirror of the durable hwm word *)
 }
 
 let nil = Layout.nil_off
@@ -39,6 +41,8 @@ let hdr_read mach meta_base off = Machine.read_u64 mach (meta_base + off)
 let hdr_write mach meta_base off v = Machine.write_u64 mach (meta_base + off) v
 
 (* ---------- construction ---------- *)
+
+let all_tc_slots = List.init Layout.tc_ledger_cap Fun.id
 
 let make mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_buckets =
   { mach;
@@ -58,8 +62,8 @@ let make mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_bucket
     stat_tx_commits = 0;
     stat_tx_aborts = 0;
     stat_recovery_replays = 0;
-    tc_free_slots = [];
-    tc_slots_ready = false }
+    tc_free_slots = all_tc_slots;
+    tc_hwm = 0 }
 
 let attach mach ~heap_id ~index ~meta_base =
   if hdr_read mach meta_base Layout.sh_off_magic <> Layout.sh_magic then
@@ -366,33 +370,29 @@ let deallocate_many sh offs =
 let tc_ledger_addr sh slot =
   sh.meta_base + Layout.sh_off_tc_ledger + (slot * Layout.word)
 
-let tc_init_slots sh =
-  if not sh.tc_slots_ready then begin
-    let free = ref [] in
-    for slot = Layout.tc_ledger_cap - 1 downto 0 do
-      if Machine.read_u64 sh.mach (tc_ledger_addr sh slot) = 0 then
-        free := slot :: !free
-    done;
-    sh.tc_free_slots <- !free;
-    sh.tc_slots_ready <- true
-  end
+let tc_hwm_addr sh = sh.meta_base + Layout.sh_off_tc_hwm
 
 let tc_slot_acquire sh =
-  tc_init_slots sh;
   match sh.tc_free_slots with
   | [] -> None
   | slot :: rest ->
     sh.tc_free_slots <- rest;
     Some slot
 
-let tc_slot_release sh slot =
-  tc_init_slots sh;
-  sh.tc_free_slots <- slot :: sh.tc_free_slots
+let tc_slot_release sh slot = sh.tc_free_slots <- slot :: sh.tc_free_slots
 
 (** Durably records "offset [off] must be deallocated on recovery" in
     ledger slot [slot] — the write-ahead a magazine free publishes
-    BEFORE the block becomes recyclable.  One fence. *)
-let tc_lease_set sh slot off =
+    BEFORE the block becomes recyclable.  One fence, plus one more to
+    persist a raised high-water mark first when [slot] lies at or
+    above it ([raise_hwm:false] skips that: the seeded fault of the
+    crashcheck [tcache-hwm-broken] scenario). *)
+let tc_lease_set ?(raise_hwm = true) sh slot off =
+  if raise_hwm && slot >= sh.tc_hwm then begin
+    Machine.write_u64 sh.mach (tc_hwm_addr sh) (slot + 1);
+    Machine.persist sh.mach (tc_hwm_addr sh) Layout.word;
+    sh.tc_hwm <- slot + 1
+  end;
   Machine.write_u64 sh.mach (tc_ledger_addr sh slot) (off + 1);
   Machine.persist sh.mach (tc_ledger_addr sh slot) Layout.word
 
@@ -437,6 +437,10 @@ let carve sh ~rsize ~count =
                    rejects := off :: !rejects
                  end
                  else begin
+                   if slot >= sh.tc_hwm then begin
+                     Undolog.write ctx (tc_hwm_addr sh) (slot + 1);
+                     sh.tc_hwm <- slot + 1
+                   end;
                    Undolog.write ctx (tc_ledger_addr sh slot) (off + 1);
                    acc := (off, slot) :: !acc
                  end)
@@ -462,9 +466,7 @@ let format mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_buck
   hdr_write mach meta_base Layout.sh_off_micro_count 0;
   hdr_write mach meta_base Layout.sh_off_hash_levels 1;
   hdr_write mach meta_base Layout.sh_off_base_buckets base_buckets;
-  for slot = 0 to Layout.tc_ledger_cap - 1 do
-    hdr_write mach meta_base (Layout.sh_off_tc_ledger + (slot * Layout.word)) 0
-  done;
+  hdr_write mach meta_base Layout.sh_off_tc_hwm 0;
   Machine.persist mach meta_base Layout.sh_header_size;
   let sh =
     make mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_buckets
@@ -506,24 +508,31 @@ let recover sh =
      DRAM magazines — carved-ahead blocks nothing referenced yet, and
      freed blocks whose batched reclaim had not landed.  Deallocate
      them (double frees absorbed: the store's own intent replay may
-     free the same offset) and release the slots. *)
-  let tc_replayed = ref 0 in
-  for slot = 0 to Layout.tc_ledger_cap - 1 do
-    let a = tc_ledger_addr sh slot in
-    let v = Machine.read_u64 sh.mach a in
-    if v <> 0 then begin
-      ignore (deallocate sh (v - 1));
-      Machine.write_u64 sh.mach a 0;
-      Machine.clwb sh.mach a;
-      incr tc_replayed
-    end
-  done;
-  if !tc_replayed > 0 then begin
-    Machine.sfence sh.mach;
-    sh.stat_recovery_replays <- sh.stat_recovery_replays + !tc_replayed
+     free the same offset) and clear their slots.  Only [0, hwm) can
+     hold a lease; the hwm drops to 0 only after the clears are
+     durable, so a crash in between just rescans. *)
+  let hwm = min Layout.tc_ledger_cap (Machine.read_u64 sh.mach (tc_hwm_addr sh)) in
+  if hwm > 0 then begin
+    let tc_replayed = ref 0 in
+    for slot = 0 to hwm - 1 do
+      let a = tc_ledger_addr sh slot in
+      let v = Machine.read_u64 sh.mach a in
+      if v <> 0 then begin
+        ignore (deallocate sh (v - 1));
+        Machine.write_u64 sh.mach a 0;
+        Machine.clwb sh.mach a;
+        incr tc_replayed
+      end
+    done;
+    if !tc_replayed > 0 then begin
+      Machine.sfence sh.mach;
+      sh.stat_recovery_replays <- sh.stat_recovery_replays + !tc_replayed
+    end;
+    Machine.write_u64 sh.mach (tc_hwm_addr sh) 0;
+    Machine.persist sh.mach (tc_hwm_addr sh) Layout.word
   end;
-  sh.tc_free_slots <- [];
-  sh.tc_slots_ready <- false
+  sh.tc_free_slots <- all_tc_slots;
+  sh.tc_hwm <- 0
 
 (* ---------- introspection & invariants (tests, reporting) ---------- *)
 
@@ -566,7 +575,9 @@ let fail_inv fmt = Printf.ksprintf (fun s -> raise (Invariant_violation s)) fmt
     blocks with consistent prev/next adjacency links; every free block
     is in exactly the right class list; class lists are well-formed
     doubly-linked lists of free blocks; level live counters match the
-    real record population. *)
+    real record population; every armed reclaim-ledger slot lies below
+    the high-water mark and leases an allocated block, and the
+    volatile hwm mirrors the persistent one. *)
 let check_invariants sh =
   let mach = sh.mach in
   if not (Undolog.is_empty mach ~meta_base:sh.meta_base) then
@@ -643,4 +654,23 @@ let check_invariants sh =
   for level = nlevels to Layout.max_levels - 1 do
     if level_count.(level) <> 0 then
       fail_inv "subheap %d: records beyond level count" sh.index
+  done;
+  (* reclaim ledger: recovery scans only [0, hwm), so an armed slot at
+     or above the hwm would leak its block on the next crash *)
+  let hwm = Machine.read_u64 mach (tc_hwm_addr sh) in
+  if hwm <> sh.tc_hwm then
+    fail_inv "subheap %d: volatile ledger hwm %d but persistent hwm %d"
+      sh.index sh.tc_hwm hwm;
+  for slot = 0 to Layout.tc_ledger_cap - 1 do
+    let v = Machine.read_u64 mach (tc_ledger_addr sh slot) in
+    if v <> 0 then begin
+      if slot >= hwm then
+        fail_inv "subheap %d: ledger slot %d armed at or above hwm %d"
+          sh.index slot hwm;
+      match Hashtable.lookup sh.ht (v - 1) with
+      | Some r when Record.get_status mach r = Layout.st_alloc -> ()
+      | _ ->
+        fail_inv "subheap %d: ledger slot %d leases %#x, not an allocated block"
+          sh.index slot (v - 1)
+    end
   done

@@ -31,7 +31,8 @@ type t = {
   mutable tc_free_slots : int list;
       (** volatile free-slot stack of the thread-cache reclaim ledger
           (maintained by the heap layer under the sub-heap lock) *)
-  mutable tc_slots_ready : bool;
+  mutable tc_hwm : int;
+      (** volatile mirror of the ledger's persistent high-water mark *)
 }
 
 val format :
@@ -85,8 +86,12 @@ val deallocate_many : t -> int list -> int
     caches (lib/tcache): a non-zero slot holds [off + 1] of a block
     that is allocated in the metadata but owned only by DRAM — carved
     ahead of use, or freed into a bin — and {!recover} deallocates it.
-    Slot bookkeeping runs under the sub-heap lock like every other
-    operation here. *)
+    A persistent high-water mark bounds the armed slots: in every
+    durable state each nonzero slot lies below it, so {!format} writes
+    one word and {!recover} scans only [\[0, hwm)].  Free slots are
+    reused lowest-first, so the hwm stays at the peak number of leases
+    held at once.  Slot bookkeeping runs under the sub-heap lock like
+    every other operation here. *)
 
 val tc_slot_acquire : t -> int option
 (** Claims a free ledger slot ([None] when the ledger is full — the
@@ -95,10 +100,13 @@ val tc_slot_acquire : t -> int option
 val tc_slot_release : t -> int -> unit
 (** Returns a slot whose lease has been durably cleared. *)
 
-val tc_lease_set : t -> int -> int -> unit
+val tc_lease_set : ?raise_hwm:bool -> t -> int -> int -> unit
 (** [tc_lease_set sh slot off] durably records the reclaim intent for
     [off] (write + one fence) — the write-ahead that makes a freed
-    block safe to recycle from a volatile bin. *)
+    block safe to recycle from a volatile bin.  A [slot] at or above
+    the hwm first persists the raised hwm (one more fence).
+    [~raise_hwm:false] skips that step: the seeded fault of the
+    crashcheck [tcache-hwm-broken] scenario. *)
 
 val tc_lease_clear_async : t -> int -> unit
 (** Stages (clwb, no fence) the release of a lease; the caller batches
@@ -107,13 +115,17 @@ val tc_lease_clear_async : t -> int -> unit
 val carve : t -> rsize:int -> count:int -> (int * int) list
 (** Carves up to [count] blocks of exactly [rsize] bytes (pre-rounded)
     in one undo operation, each covered by a ledger lease written
-    under the same operation — the batch is crash-atomic.  Returns
+    under the same operation, as is the raised hwm — the batch is
+    crash-atomic.  Returns
     [(off, slot)] pairs; may return fewer than [count] (pool or ledger
     exhausted). *)
 
 val recover : t -> unit
 (** §5.8: replays the undo log, then frees every address in the micro
-    log (the uncommitted transaction) and truncates it.  Idempotent. *)
+    log (the uncommitted transaction) and truncates it, then frees
+    every block leased in ledger slots [\[0, hwm)], clears those slots
+    and, once the clears are durable, resets the hwm to 0.
+    Idempotent. *)
 
 val try_shrink : t -> unit
 (** Hole-punches empty top hash levels (§5.6). *)
@@ -134,4 +146,6 @@ val check_invariants : t -> unit
 (** Full structural check: undo log empty at rest; the data region
     exactly tiled by blocks with consistent adjacency links; class
     lists well-formed, correctly classed, and in bijection with the
-    free blocks; hash level live counters exact. *)
+    free blocks; hash level live counters exact; every armed ledger
+    slot below the persistent hwm and leasing an allocated block, and
+    the volatile hwm equal to the persistent one. *)

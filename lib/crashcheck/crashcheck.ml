@@ -626,7 +626,7 @@ let kv_prefix_oracle ?(window = 1) ~oname ~preload ~plan ~acked () =
    snapshots [live_bytes] after each completed operation, so [slack]
    only has to cover the single in-flight op: one value block, one
    possible tree-node split and one not-yet-freed old value. *)
-let scn_kv ?(slack = 4096) ?(wrap = fun (i : Alloc_intf.instance) -> i)
+let scn_kv ?(slack = 4096) ?(wrap = Poseidon.instance)
     ?(extra = []) ?(tweak = fun (_ : Service.Kv.t) -> ()) ~sname ~preload
     ~plan () =
   let svc = ref None in
@@ -635,7 +635,7 @@ let scn_kv ?(slack = 4096) ?(wrap = fun (i : Alloc_intf.instance) -> i)
   let setup () =
     let env = mk_env () in
     env.ledger.slack <- slack;
-    let inst = wrap (Poseidon.instance env.heap) in
+    let inst = wrap env.heap in
     let s = Service.Kv.create inst ~shards:2 ~value_size in
     List.iter
       (fun (k, vs) ->
@@ -1341,7 +1341,7 @@ let tcache_plan =
   [ Kput (3, 601); Kput (9, 602); Kdel 2; Kput (10, 603); Kput (3, 604);
     Kdel 5; Kput (11, 605); Kput (9, 606) ]
 
-let scn_kv_tcache ?(break = false) ~sname () =
+let scn_kv_tcache ?fault ?(plan = tcache_plan) ~sname () =
   let universe = Hashtbl.create 32 in
   List.iter (fun (k, _) -> Hashtbl.replace universe k ()) tcache_preload;
   List.iter
@@ -1349,15 +1349,16 @@ let scn_kv_tcache ?(break = false) ~sname () =
       | Kput (k, _) | Kdel k -> Hashtbl.replace universe k ()
       | Ktxn ops ->
         List.iter (fun o -> Hashtbl.replace universe (txn_op_key o) ()) ops)
-    tcache_plan;
+    plan;
   let universe = Hashtbl.fold (fun k () a -> k :: a) universe [] in
   scn_kv ~sname ~slack:12288
-    ~wrap:(fun inst ->
-      let wrapped, h = Tcache.wrap ~mag:4 inst in
-      if break then Tcache.break_recycle h;
+    ~wrap:(fun heap ->
+      if fault = Some `Hwm then H.tc_break_hwm heap;
+      let wrapped, h = Tcache.wrap ~mag:4 (Poseidon.instance heap) in
+      if fault = Some `Leaseless then Tcache.break_recycle h;
       wrapped)
     ~extra:[ kv_value_census_oracle ~value_size:64 ~universe () ]
-    ~preload:tcache_preload ~plan:tcache_plan ()
+    ~preload:tcache_preload ~plan ()
 
 let scn_kv_tcache_put () = scn_kv_tcache ~sname:"kv-tcache-put" ()
 
@@ -1365,7 +1366,19 @@ let scn_kv_tcache_put () = scn_kv_tcache ~sname:"kv-tcache-put" ()
    lease and no persistent free.  The checker MUST flag this — the
    mutation gate in scripts/check.sh fails CI if it does not. *)
 let scn_kv_tcache_broken () =
-  scn_kv_tcache ~break:true ~sname:"tcache-broken" ()
+  scn_kv_tcache ~fault:`Leaseless ~sname:"tcache-broken" ()
+
+(* The seeded ledger bug: a magazine free persists its reclaim lease
+   without first raising the high-water mark, so recovery's [0, hwm)
+   scan misses the lease — its block leaks, and the armed slot left
+   above the reset hwm trips the invariants oracle.  The plan is a run
+   of deletes because only a free that holds more leases at once than
+   any carve did takes a slot at the hwm; [tcache_plan]'s frees never
+   do.  The checker MUST flag this; scripts/check.sh gates on it. *)
+let scn_kv_tcache_hwm_broken () =
+  scn_kv_tcache ~fault:`Hwm
+    ~plan:[ Kdel 1; Kdel 2; Kdel 3; Kdel 4; Kdel 5; Kdel 6 ]
+    ~sname:"tcache-hwm-broken" ()
 
 let all_scenarios () =
   [ scn_alloc (); scn_free (); scn_tx_commit (); scn_tx_abort ();
@@ -1392,5 +1405,6 @@ let scenario_by_name = function
   | "kv-batched-broken" -> Some (scn_kv_batched_broken ())
   | "kv-tcache-put" -> Some (scn_kv_tcache_put ())
   | "tcache-broken" -> Some (scn_kv_tcache_broken ())
+  | "tcache-hwm-broken" -> Some (scn_kv_tcache_hwm_broken ())
   | "broken" -> Some (scn_broken_missing_flush ())
   | _ -> None

@@ -285,6 +285,13 @@ val scn_kv_tcache_broken : unit -> scenario
     block whose store reference was dropped.  The census oracle MUST
     flag it; excluded from {!all_scenarios}. *)
 
+val scn_kv_tcache_hwm_broken : unit -> scenario
+(** Mutation sanity check for the reclaim ledger's high-water mark
+    ({!Poseidon.Heap.tc_break_hwm}): a magazine free persists its lease
+    without first raising the hwm, so recovery's [\[0, hwm)] scan
+    misses it.  The invariants oracle (armed slot at or above the hwm)
+    MUST flag it; excluded from {!all_scenarios}. *)
+
 val scn_broken_missing_flush : unit -> scenario
 (** Mutation sanity check: a two-line "write data, persist commit
     flag" protocol that {e forgets the clwb on the data line}.  Its
@@ -299,4 +306,5 @@ val scenario_by_name : string -> scenario option
     "kv-put" | "kv-delete" | "kv-txn" | "kv-txn-broken" |
     "kv-snapshot" | "mvcc-broken" | "kv-rcache-put" | "rcache-broken" |
     "kv-replicated-put" | "kv-batched-put" | "kv-batched-broken" |
-    "kv-tcache-put" | "tcache-broken" | "broken"]. *)
+    "kv-tcache-put" | "tcache-broken" | "tcache-hwm-broken" |
+    "broken"]. *)

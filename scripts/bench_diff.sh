@@ -1,9 +1,11 @@
 #!/bin/sh
 # Bench regression gate: compare each freshly produced BENCH_*.json
 # against the baseline committed at HEAD and fail on a >25% regression
-# in any gated p50 metric (the "*_p50_ns" fields the suite gates
-# emit).  The simulation clock is deterministic, so any drift is a
-# code change, not measurement noise.
+# in any gated metric: the "*_p50_ns" fields the suite gates emit and
+# every crash recovery time ("rto_ns", "promote_rto_ns",
+# "replay_rto_ns"; runs without a crash report 0, so only the nonzero
+# ones can regress).  The simulation clock is deterministic, so any
+# drift is a code change, not measurement noise.
 #
 # Usage: scripts/bench_diff.sh [DIR]   (fresh snapshots; default: repo root)
 #
@@ -17,9 +19,10 @@ set -eu
 dir=$(cd "${1:-.}" && pwd)
 cd "$(dirname "$0")/.."
 
-# Emit "name value" lines for every gated p50 in document order.
+# Emit "name value" lines for every gated p50 and RTO in document order.
 extract() {
-  grep -o '"[a-z_0-9]*_p50_ns"[ ]*:[ ]*[0-9][0-9]*' "$1" | tr -d '"' | tr ':' ' ' || true
+  grep -oE '"[a-z_0-9]*(_p50_ns|rto_ns)"[ ]*:[ ]*[0-9]+' "$1" |
+    tr -d '"' | tr ':' ' ' || true
 }
 
 tmpdir=$(mktemp -d)
@@ -44,7 +47,7 @@ for f in "$dir"/BENCH_*.json; do
     continue
   fi
   if ! [ -s "$tmpdir/base.m" ]; then
-    echo "bench_diff: $name has no gated p50 metrics"
+    echo "bench_diff: $name has no gated metrics"
     continue
   fi
   # base.m / fresh.m now agree line-for-line on metric names; compare values.
@@ -58,7 +61,7 @@ for f in "$dir"/BENCH_*.json; do
       { n++ }
       END {
         if (!bad)
-          printf "bench_diff: %s: %d gated p50(s) within 25%% of baseline\n",
+          printf "bench_diff: %s: %d gated metric(s) within 25%% of baseline\n",
             file, n
         exit bad
       }'; then
@@ -67,7 +70,7 @@ for f in "$dir"/BENCH_*.json; do
 done
 
 if [ "$fail" -ne 0 ]; then
-  echo "bench_diff: FAILED -- a gated p50 regressed by more than 25%," \
+  echo "bench_diff: FAILED -- a gated p50 or RTO regressed by more than 25%," \
     "changed name, or has no committed baseline"
   exit 1
 fi

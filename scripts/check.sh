@@ -125,6 +125,17 @@ if dune exec bin/main.exe -- crashcheck --scenario tcache-broken \
   echo "check: crashcheck FAILED to detect the seeded leaseless-recycle cache bug" >&2
   exit 1
 fi
+# reclaim-ledger mutation gate: a cache whose frees persist their lease
+# without first raising the ledger's high-water mark; recovery scans
+# only [0, hwm), so the invariants oracle MUST flag the armed slot it
+# leaves above the reset hwm (non-zero exit), or it has lost the power
+# to see the protocol that lets recovery skip the unused ledger.
+step="crashcheck mutation gate (tcache-hwm-broken)"
+if dune exec bin/main.exe -- crashcheck --scenario tcache-hwm-broken \
+     --max-points 8 --subsets 1 --seed "$CRASH_SEED" > /dev/null 2>&1; then
+  echo "check: crashcheck FAILED to detect the seeded unraised-hwm ledger bug" >&2
+  exit 1
+fi
 # read-cache sweep: the cache-armed put/delete/txn plan audits every
 # key through BOTH read paths (cached plain gets and a minted
 # snapshot) against the completed-prefix model after each op, strided
@@ -194,11 +205,13 @@ fi
 rm -rf "$tmpdir"
 # bench_diff self-test: the regression gate must pass the committed
 # snapshots unchanged, and MUST flag (non-zero exit) a gated p50
-# raised 30%, a renamed gated field and a snapshot with no committed
-# baseline, or a bench writer change could drop its gates unnoticed.
+# raised 30%, a crash RTO raised 30%, a renamed gated field and a
+# snapshot with no committed baseline, or a bench writer change could
+# drop its gates unnoticed.
 step="bench_diff self-test"
 tmpdir="$(mktemp -d)"
-mkdir "$tmpdir/ok" "$tmpdir/slow" "$tmpdir/renamed" "$tmpdir/new"
+mkdir "$tmpdir/ok" "$tmpdir/slow" "$tmpdir/slowrto" "$tmpdir/renamed" \
+  "$tmpdir/new"
 for f in $(git ls-files 'BENCH_*.json'); do
   git show "HEAD:$f" > "$tmpdir/ok/$f"
 done
@@ -208,8 +221,12 @@ sed "s/\"txn_p50_ns\":$v/\"txn_p50_ns\":$((v * 13 / 10))/" \
   "$tmpdir/ok/BENCH_txn.json" > "$tmpdir/slow/BENCH_txn.json"
 sed 's/"txn_p50_ns"/"txn_p50"/' "$tmpdir/ok/BENCH_txn.json" \
   > "$tmpdir/renamed/BENCH_txn.json"
+r=$(grep -o '"rto_ns":[1-9][0-9]*' "$tmpdir/ok/BENCH_service.json" | head -n 1 |
+  cut -d: -f2)
+sed "s/\"rto_ns\":$r/\"rto_ns\":$((r * 13 / 10))/" \
+  "$tmpdir/ok/BENCH_service.json" > "$tmpdir/slowrto/BENCH_service.json"
 cp "$tmpdir/ok/BENCH_txn.json" "$tmpdir/new/BENCH_unbaselined.json"
-for case in slow renamed new; do
+for case in slow slowrto renamed new; do
   if sh scripts/bench_diff.sh "$tmpdir/$case" > /dev/null 2>&1; then
     echo "check: bench_diff FAILED to flag the seeded \"$case\" snapshot" >&2
     rm -rf "$tmpdir"

@@ -117,6 +117,69 @@ let test_double_crash_during_recovery () =
     ignore (recover_and_check mach)
   done
 
+(* Crash inside the reclaim-ledger step of recovery.  A magazine cache
+   leaves eight stashed frees leased; the first recovery is cut after
+   each of its fences in turn, and a second recovery must still free
+   every lease and leave the high-water mark at 0.  One of the cuts
+   must land after the slot-clear fence and before the hwm reset
+   (every slot durably clear, hwm still raised): that state rescans. *)
+let test_crash_during_ledger_recovery () =
+  let leased () =
+    let mach = mkmach () in
+    let h = mkheap mach in
+    let inst, _ = Tcache.wrap ~mag:4 (Poseidon.instance h) in
+    Memdev.drain (Machine.dev mach);
+    let baseline = (H.stats h).H.live_bytes in
+    let ptrs =
+      List.init 8 (fun _ -> Option.get (Alloc_intf.i_alloc inst 64))
+    in
+    List.iter (Alloc_intf.i_free inst) ptrs;
+    let meta_base = ref 0 in
+    H.iter_subheaps h (fun sh -> meta_base := sh.Poseidon.Subheap.meta_base);
+    Memdev.crash (Machine.dev mach) `Strict;
+    (mach, baseline, !meta_base)
+  in
+  let durable_ledger mach meta_base =
+    let rd off = Memdev.read_u64 (Machine.dev mach) (meta_base + off) in
+    let armed = ref 0 in
+    for slot = 0 to Poseidon.Layout.tc_ledger_cap - 1 do
+      if rd (Poseidon.Layout.sh_off_tc_ledger + (slot * Poseidon.Layout.word))
+         <> 0
+      then incr armed
+    done;
+    (rd Poseidon.Layout.sh_off_tc_hwm, !armed)
+  in
+  let recovery_fences =
+    let mach, _, meta_base = leased () in
+    check "the cache left leases behind" true
+      (snd (durable_ledger mach meta_base) > 0);
+    let dev = Machine.dev mach in
+    let before = (Memdev.counters dev).Memdev.fences in
+    ignore (H.attach mach ~base ());
+    (Memdev.counters dev).Memdev.fences - before
+  in
+  let saw_window = ref false in
+  for k = 1 to recovery_fences do
+    let mach, baseline, meta_base = leased () in
+    let dev = Machine.dev mach in
+    let stop = (Memdev.counters dev).Memdev.fences + k in
+    Memdev.set_fence_hook dev (Some (fun n -> if n >= stop then raise Crash_now));
+    (try ignore (H.attach mach ~base ()) with Crash_now -> ());
+    Memdev.set_fence_hook dev None;
+    Memdev.crash dev `Strict;
+    let hwm, armed = durable_ledger mach meta_base in
+    if hwm > 0 && armed = 0 then saw_window := true;
+    let h2 = recover_and_check mach in
+    Alcotest.(check int)
+      (Printf.sprintf "cut after recovery fence %d: every lease freed" k)
+      baseline (H.stats h2).H.live_bytes;
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "cut after recovery fence %d: ledger reset" k)
+      (0, 0) (durable_ledger mach meta_base)
+  done;
+  check "a cut fell between the slot-clear fence and the hwm reset" true
+    !saw_window
+
 let test_committed_allocations_survive_any_crash () =
   (* allocations whose API call returned before the crash point must
      survive: compare the live bytes after recovery with the sizes
@@ -301,6 +364,8 @@ let () =
             test_crash_adversarial_random;
           Alcotest.test_case "crash during recovery" `Quick
             test_double_crash_during_recovery;
+          Alcotest.test_case "crash during ledger recovery" `Quick
+            test_crash_during_ledger_recovery;
           Alcotest.test_case "committed survive" `Quick
             test_committed_allocations_survive_any_crash;
           Alcotest.test_case "tx atomicity" `Quick

@@ -3,8 +3,9 @@
    durability across crashes (published blocks survive, bin residue
    and stashed frees are reclaimed by recovery), pass-through modes,
    store-level equivalence with the uncached path, serve-run metrics
-   surfacing, and bounded crashcheck sweeps: kv-tcache-put must be
-   green and the tcache-broken mutation must be flagged. *)
+   surfacing, the reclaim ledger's high-water mark, and bounded
+   crashcheck sweeps: kv-tcache-put must be green and the
+   tcache-broken and tcache-hwm-broken mutations must be flagged. *)
 
 module H = Poseidon.Heap
 module Memdev = Nvmm.Memdev
@@ -148,6 +149,58 @@ let test_unpublished_tx_alloc_rolled_back () =
   check_int "uncommitted cached alloc rolled back" baseline
     (H.stats h2).H.live_bytes
 
+(* The ledger's high-water mark: a carve raises it inside its undo
+   operation, a stash past every slot in use raises it write-ahead,
+   and recovery frees every lease below it, then resets it to 0. *)
+let the_subheap heap =
+  let found = ref None in
+  H.iter_subheaps heap (fun sh -> if !found = None then found := Some sh);
+  Option.get !found
+
+let hwm_word mach (sh : Poseidon.Subheap.t) =
+  Memdev.read_u64 (Machine.dev mach)
+    (sh.Poseidon.Subheap.meta_base + Poseidon.Layout.sh_off_tc_hwm)
+
+let test_hwm_raised_then_reset_by_recovery () =
+  let mach, heap, inst, _ = mk_wrapped ~mag:4 () in
+  Memdev.drain (Machine.dev mach);
+  let baseline = (H.stats heap).H.live_bytes in
+  let ptrs =
+    List.init 8 (fun i ->
+        let p = Option.get (Alloc_intf.i_alloc inst 64) in
+        if i = 0 then begin
+          let sh = the_subheap heap in
+          check_int "carve raised the hwm to the magazine" 4
+            sh.Poseidon.Subheap.tc_hwm;
+          check_int "carve wrote the hwm word" 4 (hwm_word mach sh)
+        end;
+        p)
+  in
+  let sh = the_subheap heap in
+  check_int "published magazines keep the peak" 4 sh.Poseidon.Subheap.tc_hwm;
+  (* eight stashed frees hold eight leases at once: the last four
+     slots lie above the carve peak, so the free path raises the hwm *)
+  List.iter (fun p -> Alloc_intf.i_free inst p) ptrs;
+  check_int "free path raised the hwm" 8 sh.Poseidon.Subheap.tc_hwm;
+  H.check_invariants heap;
+  Memdev.crash (Machine.dev mach) `Strict;
+  check_int "the free-path hwm was durable" 8 (hwm_word mach sh);
+  let h2 = H.attach mach ~base:heap_base () in
+  H.check_invariants h2;
+  let sh2 = the_subheap h2 in
+  check_int "every stashed lease reclaimed" baseline
+    (H.stats h2).H.live_bytes;
+  check_int "recovery reset the hwm" 0 (hwm_word mach sh2);
+  check_int "volatile hwm follows" 0 sh2.Poseidon.Subheap.tc_hwm;
+  for slot = 0 to Poseidon.Layout.tc_ledger_cap - 1 do
+    if
+      Memdev.read_u64 (Machine.dev mach)
+        (sh2.Poseidon.Subheap.meta_base + Poseidon.Layout.sh_off_tc_ledger
+        + (slot * Poseidon.Layout.word))
+      <> 0
+    then Alcotest.failf "ledger slot %d still armed after recovery" slot
+  done
+
 let test_reset_returns_all_blocks () =
   let _, heap, inst, h = mk_wrapped ~mag:4 () in
   let baseline = (H.stats heap).H.live_bytes in
@@ -262,6 +315,12 @@ let test_tcache_broken_flagged () =
   check "the leaseless-recycle mutation is flagged" true
     (r.Crashcheck.counterexamples <> [])
 
+let test_tcache_hwm_broken_flagged () =
+  let scn = Option.get (Crashcheck.scenario_by_name "tcache-hwm-broken") in
+  let r = Crashcheck.run ~max_points:8 ~subsets_per_point:1 scn in
+  check "the unraised-hwm mutation is flagged" true
+    (r.Crashcheck.counterexamples <> [])
+
 let () =
   Alcotest.run "tcache"
     [ ( "bins",
@@ -280,6 +339,8 @@ let () =
             test_stash_reclaimed_after_crash;
           Alcotest.test_case "unpublished tx alloc rolled back" `Quick
             test_unpublished_tx_alloc_rolled_back;
+          Alcotest.test_case "hwm raised by carve and free, reset by recovery"
+            `Quick test_hwm_raised_then_reset_by_recovery;
           Alcotest.test_case "reset returns every cached block" `Quick
             test_reset_returns_all_blocks ] );
       ( "store",
@@ -291,4 +352,6 @@ let () =
         [ Alcotest.test_case "kv-tcache-put sweep green" `Quick
             test_kv_tcache_sweep_green;
           Alcotest.test_case "tcache-broken flagged" `Quick
-            test_tcache_broken_flagged ] ) ]
+            test_tcache_broken_flagged;
+          Alcotest.test_case "tcache-hwm-broken flagged" `Quick
+            test_tcache_hwm_broken_flagged ] ) ]
