@@ -241,24 +241,21 @@ let stress_cmd =
 
 let crashcheck_cmd =
   let scenario_arg =
+    let names kind =
+      Crashcheck.registry
+      |> List.filter_map (fun (e : Crashcheck.entry) ->
+             if e.kind = kind then Some e.name else None)
+      |> String.concat ", "
+    in
     Arg.(
       value & opt string "all"
       & info [ "scenario" ] ~docv:"NAME"
           ~doc:
-            "Scenario to explore: alloc, free, tx-commit, tx-abort, extend, \
-             kv-put, kv-delete, kv-txn (cross-shard 2PC transactions), \
-             kv-snapshot (MVCC snapshot reads audited against the \
-             completed-prefix model), kv-replicated-put (two-machine sync \
-             replication with transaction records, cluster-wide crash), \
-             kv-batched-put (group commit + doorbell-batched replication, \
-             cluster-wide crash), kv-tcache-put (magazine-cached \
-             allocation: leases, batch publish, bulk reclaim), \
-             kv-rcache-put (DRAM read cache armed; every cached read \
-             audited against the completed-prefix model), broken / \
-             kv-txn-broken / kv-batched-broken / mvcc-broken / \
-             tcache-broken / tcache-hwm-broken / rcache-broken \
-             (deliberately buggy, for \
-             mutation sanity checks) or all (every correct one).")
+            (Printf.sprintf
+               "Scenario to explore: %s; the seeded bugs %s (deliberately \
+                buggy, for mutation sanity checks); or all (every correct \
+                one)."
+               (names Crashcheck.Correct) (names Crashcheck.Seeded_bug)))
   in
   let max_points_arg =
     Arg.(
@@ -323,6 +320,9 @@ let crashcheck_cmd =
             | None -> C.Dirty_lost_all
           in
           match C.check_point scn ~point ~mode with
+          | exception Invalid_argument msg ->
+            Printf.eprintf "crashcheck: %s\n" msg;
+            2
           | None ->
             Printf.printf
               "crashcheck: %s point %d (%s): recovery verified, all oracles \
@@ -336,8 +336,8 @@ let crashcheck_cmd =
           Printf.eprintf
             "crashcheck: --point needs a single --scenario, not 'all'\n";
           2)
-      | None ->
-        let reports =
+      | None -> (
+        match
           List.map
             (fun scn ->
               let r =
@@ -346,29 +346,33 @@ let crashcheck_cmd =
               Format.printf "%a@." C.pp_report r;
               r)
             scenarios
-        in
-        let points =
-          List.fold_left (fun a r -> a + r.C.points_explored) 0 reports
-        and subsets_tried =
-          List.fold_left (fun a r -> a + r.C.subsets_tried) 0 reports
-        and verified =
-          List.fold_left (fun a r -> a + r.C.recoveries_verified) 0 reports
-        and cexs = List.concat_map (fun r -> r.C.counterexamples) reports in
-        Printf.printf
-          "crashcheck: %d crash points explored, %d subsets tried, %d \
-           recoveries verified, %d counterexample(s)\n"
-          points subsets_tried verified (List.length cexs);
-        List.iter
-          (fun cx ->
-            Printf.printf
-              "replay: poseidon-repro crashcheck --scenario %s --point %d%s \
-               --trace-out cex.json\n"
-              cx.C.cx_scenario cx.C.cx_point
-              (match cx.C.cx_mode with
-               | C.Dirty_lost_all -> ""
-               | C.Dirty_subset s -> Printf.sprintf " --subset-seed %d" s))
-          cexs;
-        if cexs = [] then 0 else 1)
+        with
+        | exception Invalid_argument msg ->
+          Printf.eprintf "crashcheck: %s\n" msg;
+          2
+        | reports ->
+          let points =
+            List.fold_left (fun a r -> a + r.C.points_explored) 0 reports
+          and subsets_tried =
+            List.fold_left (fun a r -> a + r.C.subsets_tried) 0 reports
+          and verified =
+            List.fold_left (fun a r -> a + r.C.recoveries_verified) 0 reports
+          and cexs = List.concat_map (fun r -> r.C.counterexamples) reports in
+          Printf.printf
+            "crashcheck: %d crash points explored, %d subsets tried, %d \
+             recoveries verified, %d counterexample(s)\n"
+            points subsets_tried verified (List.length cexs);
+          List.iter
+            (fun cx ->
+              Printf.printf
+                "replay: poseidon-repro crashcheck --scenario %s --point %d%s \
+                 --trace-out cex.json\n"
+                cx.C.cx_scenario cx.C.cx_point
+                (match cx.C.cx_mode with
+                 | C.Dirty_lost_all -> ""
+                 | C.Dirty_subset s -> Printf.sprintf " --subset-seed %d" s))
+            cexs;
+          if cexs = [] then 0 else 1))
   in
   Cmd.v
     (Cmd.info "crashcheck"

@@ -163,9 +163,17 @@ let subset_seed ~seed ~point s =
   (seed * 0x9E3779B1) lxor (point * 0x85EBCA6B) lxor (s * 0xC2B2AE35)
   land 0x3FFFFFFF
 
+let bad_point scn ~last point =
+  invalid_arg
+    (Printf.sprintf "%s has crash points 1..%d, not %d" scn.sname last point)
+
 let check_point scn ~point ~mode =
+  if point < 1 then bad_point scn ~last:(measure scn + 1) point;
   Obs.Trace.emit_named Obs.Event.Custom "crashcheck_point" point;
-  let env, _ = run_op scn ~stop_at:point in
+  let env, fences = run_op scn ~stop_at:point in
+  (* a cut at [point <= fences] stopped the run there; a run that
+     completed short of [point - 1] fences has no such point *)
+  if fences < point - 1 then bad_point scn ~last:(fences + 1) point;
   let dev = Machine.dev env.mach in
   (match mode with
    | Dirty_lost_all -> Memdev.crash dev `Strict
@@ -212,6 +220,14 @@ let stride_sample n k =
     |> List.sort_uniq compare
 
 let run ?(max_points = 0) ?(subsets_per_point = 2) ?(seed = 1) scn =
+  if max_points < 0 then
+    invalid_arg
+      (Printf.sprintf "max_points must be >= 0 (0 = exhaustive), not %d"
+         max_points);
+  if subsets_per_point < 0 then
+    invalid_arg
+      (Printf.sprintf "subsets_per_point must be >= 0, not %d"
+         subsets_per_point);
   let c name = Obs.Metrics.counter ~scope:"crashcheck" name in
   let c_points = c "points_explored"
   and c_subsets = c "subsets_tried"
@@ -312,8 +328,8 @@ let free_l env p ~size =
   H.free env.heap p;
   env.ledger.durable <- env.ledger.durable - round_up size
 
-let scn_alloc () =
-  { sname = "alloc";
+let scn_alloc sname =
+  { sname;
     extra_oracles = [];
     setup =
       (fun () ->
@@ -328,10 +344,10 @@ let scn_alloc () =
           (fun s -> ignore (alloc_l env s))
           [ 32; 64; 96; 128; 256; 512; 32; 1024; 48; 64 ]) }
 
-let scn_free () =
+let scn_free sname =
   let sizes = [ 32; 64; 128; 256; 512; 32; 64; 128; 256; 1024 ] in
   let ptrs = ref [] in
-  { sname = "free";
+  { sname;
     extra_oracles = [];
     setup =
       (fun () ->
@@ -358,8 +374,8 @@ let tx_l env sizes =
     sizes;
   if !ok then env.ledger.durable <- env.ledger.durable + bytes
 
-let scn_tx_commit () =
-  { sname = "tx-commit";
+let scn_tx_commit sname =
+  { sname;
     extra_oracles = [];
     setup =
       (fun () ->
@@ -372,8 +388,8 @@ let scn_tx_commit () =
         tx_l env [ 64; 128; 64 ];
         tx_l env [ 256; 32 ]) }
 
-let scn_tx_abort () =
-  { sname = "tx-abort";
+let scn_tx_abort sname =
+  { sname;
     extra_oracles = [];
     setup =
       (fun () ->
@@ -389,8 +405,8 @@ let scn_tx_abort () =
         H.tx_abort env.heap;
         ignore (alloc_l env 64)) }
 
-let scn_extend () =
-  { sname = "extend";
+let scn_extend sname =
+  { sname;
     extra_oracles = [];
     setup =
       (fun () ->
@@ -405,10 +421,10 @@ let scn_extend () =
           ignore (alloc_l env 32)
         done) }
 
-let scn_broken_missing_flush () =
+let scn_broken_missing_flush sname =
   let raw = ref 0 in
   let magic = 0xDEC0DE in
-  { sname = "broken";
+  { sname;
     setup =
       (fun () ->
         let env = mk_env () in
@@ -450,6 +466,16 @@ type kv_op =
 let txn_op_key = function
   | Service.Kv.Tput { key; _ } | Service.Kv.Tdel { key } -> key
 
+(* Every key [preload] or [plan] touches, ascending. *)
+let kv_universe ~preload ~plan =
+  List.sort_uniq compare
+    (List.map fst preload
+    @ List.concat_map
+        (function
+          | Kput (k, _) | Kdel k -> [ k ]
+          | Ktxn ops -> List.map txn_op_key ops)
+        plan)
+
 (* Model of {!Service.Kv.txn}'s commit rule: non-empty, distinct keys,
    every strict delete's key present.  An aborting transaction is a
    no-op on the model state, matching "abort leaves no durable trace". *)
@@ -474,22 +500,29 @@ let apply_kv tbl = function
           | Service.Kv.Tdel { key } -> Hashtbl.remove tbl key)
         ops
 
-(* Recovery oracle shared by the local and the replicated KV sweeps:
-   re-attach the *service* on [env]'s surviving heap — running the
-   intent replay/rollback — then check three things: the allocator is
-   still sane after replay mutated it, the store matches the acked
-   prefix of [plan] applied over [preload] exactly, and the one
-   in-flight operation is atomic (its key reads as either the pre- or
-   the post-state, never a torn value).
+(* The key -> vseed state after the first [m] ops of [plan] over
+   [preload]. *)
+let kv_model ~preload ~plan m =
+  let tbl = Hashtbl.create 32 in
+  List.iter (fun (k, vs) -> Hashtbl.replace tbl k vs) preload;
+  List.iteri (fun i o -> if i < m then apply_kv tbl o) plan;
+  tbl
 
-   [window] (default 1) generalizes the prefix rule to group commit:
-   with up to [window] ops in flight beyond the acked prefix, the
-   recovered store must equal the plan-prefix state for SOME length
-   m ∈ [acked, acked + window] — a crash mid-batch may lose any
-   suffix of the unacked window, but never an acked op and never
-   anything beyond the window.  (Chunks apply in plan order, so every
-   legal crash state IS such a prefix.) *)
+let live_bytes env = (H.stats env.heap).H.live_bytes
+
+(* Recovery oracle shared by every KV sweep: re-attach the *service*
+   on [env]'s surviving heap — running the intent replay/rollback —
+   check the allocator is still sane after replay mutated it, then
+   demand the recovered store equal the plan-prefix state over
+   [preload] for SOME length m ∈ [acked, acked + window].  With the
+   default window 1 that is the acked prefix plus the one in-flight op
+   applied whole or not at all — for a cross-shard transaction, exactly
+   whole-transaction atomicity.  A wider window is the group-commit
+   rule: a crash mid-batch may lose any suffix of the unacked window,
+   but never an acked op and never anything beyond the window.  (Chunks
+   apply in plan order, so every legal crash state IS such a prefix.) *)
 let kv_prefix_oracle ?(window = 1) ~oname ~preload ~plan ~acked () =
+  let universe = kv_universe ~preload ~plan in
   { oname;
     check =
       (fun env ->
@@ -503,181 +536,168 @@ let kv_prefix_oracle ?(window = 1) ~oname ~preload ~plan ~acked () =
           | exception Poseidon.Subheap.Invariant_violation m ->
             Error ("post-replay invariants: " ^ m)
           | () ->
+            let free = (H.stats env.heap).H.free_bytes
+            and cap = H.data_capacity env.heap in
             if not (H.logs_quiescent env.heap) then
               Error "post-replay logs not quiescent"
+            else if live_bytes env + free <> cap then
+              Error
+                (Printf.sprintf
+                   "post-replay leak: live %d + free %d <> capacity %d"
+                   (live_bytes env) free cap)
             else begin
-              let live = (H.stats env.heap).H.live_bytes
-              and free = (H.stats env.heap).H.free_bytes
-              and cap = H.data_capacity env.heap in
-              if live + free <> cap then
+              Service.Kv.check s2;
+              let cks vs = Service.Kv.value_checksum s2 ~vseed:vs in
+              let matches m =
+                let tbl = kv_model ~preload ~plan m in
+                List.for_all
+                  (fun k ->
+                    Service.Kv.get s2 ~key:k
+                    = Option.map cks (Hashtbl.find_opt tbl k))
+                  universe
+              in
+              let lo = !acked
+              and hi = min (List.length plan) (!acked + window) in
+              let rec any m = m <= hi && (matches m || any (m + 1)) in
+              if any lo then Ok ()
+              else
                 Error
                   (Printf.sprintf
-                     "post-replay leak: live %d + free %d <> capacity %d"
-                     live free cap)
-              else if window > 1 then begin
-                Service.Kv.check s2;
-                let universe = Hashtbl.create 32 in
-                List.iter (fun (k, _) -> Hashtbl.replace universe k ()) preload;
-                List.iter
-                  (function
-                    | Kput (k, _) | Kdel k -> Hashtbl.replace universe k ()
-                    | Ktxn ops ->
-                      List.iter
-                        (fun o -> Hashtbl.replace universe (txn_op_key o) ())
-                        ops)
-                  plan;
-                let cks vs = Service.Kv.value_checksum s2 ~vseed:vs in
-                let matches m =
-                  let tbl = Hashtbl.create 32 in
-                  List.iter (fun (k, vs) -> Hashtbl.replace tbl k vs) preload;
-                  List.iteri (fun i o -> if i < m then apply_kv tbl o) plan;
-                  Hashtbl.fold
-                    (fun k () ok ->
-                      ok
-                      && Service.Kv.get s2 ~key:k
-                         = Option.map cks (Hashtbl.find_opt tbl k))
-                    universe true
-                in
-                let lo = !acked
-                and hi = min (List.length plan) (!acked + window) in
-                let rec any m = m <= hi && (matches m || any (m + 1)) in
-                if any lo then Ok ()
-                else
-                  Error
-                    (Printf.sprintf
-                       "recovered store matches no plan prefix in [%d, %d]: \
-                        an acked op was lost or more than the batch window \
-                        leaked"
-                       lo hi)
-              end
-              else begin
-                Service.Kv.check s2;
-                let pre = Hashtbl.create 32 in
-                List.iter (fun (k, vs) -> Hashtbl.replace pre k vs) preload;
-                List.iteri
-                  (fun i o -> if i < !acked then apply_kv pre o)
-                  plan;
-                let in_flight =
-                  if !acked < List.length plan then
-                    Some (List.nth plan !acked)
-                  else None
-                in
-                let post = Hashtbl.copy pre in
-                Option.iter (apply_kv post) in_flight;
-                let in_flight_keys =
-                  match in_flight with
-                  | Some (Kput (k, _)) | Some (Kdel k) -> [ k ]
-                  | Some (Ktxn ops) -> List.map txn_op_key ops
-                  | None -> []
-                in
-                let keys = Hashtbl.create 32 in
-                Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) pre;
-                Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) post;
-                List.iter (fun k -> Hashtbl.replace keys k ()) in_flight_keys;
-                let cks vs = Service.Kv.value_checksum s2 ~vseed:vs in
-                let err = ref None in
-                (* settled keys read exactly the acked-prefix state *)
-                Hashtbl.iter
-                  (fun k () ->
-                    if !err = None && not (List.mem k in_flight_keys)
-                    then begin
-                      let got = Service.Kv.get s2 ~key:k in
-                      let want = Option.map cks (Hashtbl.find_opt pre k) in
-                      if got <> want then
-                        err :=
-                          Some
-                            (Printf.sprintf
-                               "key %d: recovered store disagrees with the \
-                                acked-prefix ledger (%d op(s) acked)"
-                               k !acked)
-                    end)
-                  keys;
-                (* the in-flight op is atomic as a unit: EVERY key it
-                   touches reads as pre-state, or EVERY key as
-                   post-state — for a cross-shard transaction this is
-                   exactly whole-transaction atomicity, ruling out a
-                   half-applied commit *)
-                if !err = None && in_flight_keys <> [] then begin
-                  let gots =
-                    List.map
-                      (fun k -> (k, Service.Kv.get s2 ~key:k))
-                      in_flight_keys
-                  in
-                  let matches tbl =
-                    List.for_all
-                      (fun (k, got) ->
-                        got = Option.map cks (Hashtbl.find_opt tbl k))
-                      gots
-                  in
-                  if not (matches pre || matches post) then
-                    err :=
-                      Some
-                        (Printf.sprintf
-                           "in-flight op torn across its %d key(s) (%d \
-                            op(s) acked): neither all-pre nor all-post"
-                           (List.length in_flight_keys)
-                           !acked)
-                end;
-                match !err with Some m -> Error m | None -> Ok ()
-              end
+                     "recovered store matches no plan prefix in [%d, %d]: an \
+                      acked op was lost, an in-flight op was torn, or more \
+                      than the batch window leaked"
+                     lo hi)
             end)) }
 
-(* Drive the KV store's write path through the sweep.  The ledger
-   snapshots [live_bytes] after each completed operation, so [slack]
-   only has to cover the single in-flight op: one value block, one
-   possible tree-node split and one not-yet-freed old value. *)
-let scn_kv ?(slack = 4096) ?(wrap = Poseidon.instance)
-    ?(extra = []) ?(tweak = fun (_ : Service.Kv.t) -> ()) ~sname ~preload
-    ~plan () =
-  let svc = ref None in
-  let acked = ref 0 in
-  let value_size = 64 in
+(* Oracle over the read-path violations a scenario recorded on the live
+   store before the crash: green iff there are none. *)
+let violations_oracle ~oname ~what violations =
+  { oname;
+    check =
+      (fun _env ->
+        match List.rev !violations with
+        | [] -> Ok ()
+        | v :: _ ->
+          Error
+            (Printf.sprintf "%d %s, first: %s" (List.length !violations) what
+               v)) }
+
+(* What a KV scenario's hooks see during op [i]: the live store, the
+   completed-prefix model (key -> vseed), the scenario's key universe
+   and a sink for read-path violations. *)
+type kv_ctx = {
+  svc : Service.Kv.t;
+  model : (int, int) Hashtbl.t;
+  universe : int list;
+  flag : string -> unit;
+}
+
+(* The digest the completed-prefix model says key [k] reads. *)
+let expected ctx k =
+  Option.map
+    (fun vs -> Service.Kv.value_checksum ctx.svc ~vseed:vs)
+    (Hashtbl.find_opt ctx.model k)
+
+let exec_kv svc = function
+  | Kput (k, vs) -> ignore (Service.Kv.put svc ~key:k ~vseed:vs)
+  | Kdel k -> ignore (Service.Kv.delete svc ~key:k)
+  | Ktxn ops -> ignore (Service.Kv.txn svc ops)
+
+let preload_kv ~sname preload puts =
+  List.iter
+    (fun (k, vs) ->
+      if not (puts k vs) then
+        failwith (sname ^ " scenario: preload put failed"))
+    preload
+
+(* Drive the KV store's write path through the sweep.  The store is
+   built over [wrap heap] with [mvcc_window] and [rcache_entries], then
+   [tweak]ed (where the seeded bugs arm).  Each plan op goes through
+   [run] (default: the plain put/delete/txn call); then the model
+   advances, the ledger snapshots [live_bytes] and [audit] reads the
+   live store against the model.  Violations [run] or [audit] flag
+   surface through the [reads] oracle (name, noun) at every crash point
+   past the offending op.  Oracles: [reads] if given, the acked-prefix
+   [kv-store] oracle unless [prefix] is false, then [extra].  Because
+   the ledger moves after every op, [slack] only has to cover the
+   single in-flight op: one value block, one possible tree-node split
+   and one not-yet-freed old value. *)
+let scn_kv ?(slack = 4096) ?(wrap = Poseidon.instance) ?mvcc_window
+    ?rcache_entries ?(tweak = ignore) ?(run = fun ctx _ o -> exec_kv ctx.svc o)
+    ?(audit = fun _ _ -> ()) ?reads ?(prefix = true) ?(extra = []) ~preload
+    ~plan sname =
+  let universe = kv_universe ~preload ~plan in
+  let svc = ref None and acked = ref 0 and violations = ref [] in
   let setup () =
     let env = mk_env () in
     env.ledger.slack <- slack;
-    let inst = wrap env.heap in
-    let s = Service.Kv.create inst ~shards:2 ~value_size in
-    List.iter
-      (fun (k, vs) ->
-        if not (Service.Kv.put s ~key:k ~vseed:vs) then
-          failwith "kv scenario: preload put failed")
-      preload;
+    let s =
+      Service.Kv.create ?mvcc_window ?rcache_entries (wrap env.heap)
+        ~shards:2 ~value_size:64
+    in
+    preload_kv ~sname preload (fun k vs -> Service.Kv.put s ~key:k ~vseed:vs);
     tweak s;
     svc := Some s;
     acked := 0;
-    env.ledger.durable <- (H.stats env.heap).H.live_bytes;
+    violations := [];
+    env.ledger.durable <- live_bytes env;
     finish_setup env
   in
   let op env =
-    let s = Option.get !svc in
-    List.iter
-      (fun o ->
-        (match o with
-         | Kput (k, vs) -> ignore (Service.Kv.put s ~key:k ~vseed:vs)
-         | Kdel k -> ignore (Service.Kv.delete s ~key:k)
-         | Ktxn ops -> ignore (Service.Kv.txn s ops));
+    let ctx =
+      { svc = Option.get !svc;
+        model = kv_model ~preload ~plan 0;
+        universe;
+        flag = (fun v -> violations := v :: !violations) }
+    in
+    List.iteri
+      (fun i o ->
+        run ctx i o;
+        apply_kv ctx.model o;
         incr acked;
-        env.ledger.durable <- (H.stats env.heap).H.live_bytes)
+        env.ledger.durable <- live_bytes env;
+        audit ctx i)
       plan
   in
-  let o_kv = kv_prefix_oracle ~oname:"kv-store" ~preload ~plan ~acked () in
-  { sname; setup; op; extra_oracles = o_kv :: extra }
+  let reads =
+    match reads with
+    | Some (oname, what) -> [ violations_oracle ~oname ~what violations ]
+    | None -> []
+  and kv_store =
+    if prefix then
+      [ kv_prefix_oracle ~oname:"kv-store" ~preload ~plan ~acked () ]
+    else []
+  in
+  { sname; setup; op; extra_oracles = reads @ kv_store @ extra }
 
-let scn_kv_put () =
-  scn_kv ~sname:"kv-put"
+(* Read every universe key through [read] and flag each that disagrees
+   with the completed-prefix model. *)
+let audit_keys ctx i ~path read =
+  List.iter
+    (fun k ->
+      if read k <> expected ctx k then
+        ctx.flag
+          (Printf.sprintf
+             "after op %d: %s of key %d disagrees with the completed-prefix \
+              model"
+             i path k))
+    ctx.universe
+
+let kv_put sname =
+  scn_kv
     ~preload:[ (1, 101); (2, 102); (3, 103); (4, 104); (5, 105); (6, 106) ]
     ~plan:
       [ Kput (3, 201); Kput (9, 202); Kput (4, 203); Kput (10, 204);
         Kput (3, 205); Kput (11, 206) ]
-    ()
+    sname
 
-let scn_kv_delete () =
-  scn_kv ~sname:"kv-delete"
+let kv_delete sname =
+  scn_kv
     ~preload:
       [ (1, 111); (2, 112); (3, 113); (4, 114); (5, 115); (6, 116);
         (7, 117); (8, 118) ]
     ~plan:[ Kdel 2; Kdel 5; Kput (5, 222); Kdel 7; Kdel 99; Kdel 3; Kdel 5 ]
-    ()
+    sname
 
 (* Cross-shard transactions through the 2PC coordinator-record
    protocol.  Key shard map for [shards:2]: keys 2, 3, 7, 8, 9, 10 and
@@ -687,392 +707,175 @@ let scn_kv_delete () =
    mixed delete+put commit with a two-op slot on one shard, a strict
    delete abort ([Tdel 99] — key absent, so the whole transaction must
    vanish), interleaved with single ops so the single-op intent slots
-   and the participant slots coexist at crash points. *)
-let kv_txn_plan () =
+   and the participant slots coexist at crash points.  [tweak] arms the
+   seeded 2PC bug. *)
+let kv_txn ?tweak sname =
   let s0 k = assert (Service.Kv.shard_of ~shards:2 k = 0)
   and s1 k = assert (Service.Kv.shard_of ~shards:2 k = 1) in
   List.iter s0 [ 2; 3; 7; 9; 99 ];
   List.iter s1 [ 1; 4; 5; 6; 11 ];
-  [ Ktxn
-      [ Service.Kv.Tput { key = 3; vseed = 301 };
-        Service.Kv.Tput { key = 4; vseed = 302 } ];
-    Kput (9, 303);
-    Ktxn
-      [ Service.Kv.Tdel { key = 2 };
-        Service.Kv.Tput { key = 11; vseed = 304 };
-        Service.Kv.Tput { key = 7; vseed = 305 } ];
-    Ktxn
-      [ Service.Kv.Tput { key = 5; vseed = 306 };
-        Service.Kv.Tdel { key = 99 } ];
-    Kdel 6 ]
-
-let kv_txn_preload =
-  [ (1, 121); (2, 122); (3, 123); (4, 124); (5, 125); (6, 126) ]
-
-let scn_kv_txn () =
-  scn_kv ~sname:"kv-txn" ~slack:8192 ~preload:kv_txn_preload
-    ~plan:(kv_txn_plan ()) ()
-
-(* The seeded 2PC bug: the coordinator forgets to flush the decision
-   record, so a crash between the participant applies can surface half
-   a transaction.  The checker MUST find a counterexample here — the
-   mutation gate in scripts/check.sh fails CI if it does not. *)
-let scn_kv_txn_broken () =
-  scn_kv ~sname:"kv-txn-broken" ~slack:8192
-    ~tweak:Service.Kv.txn_break_decision_persist ~preload:kv_txn_preload
-    ~plan:(kv_txn_plan ()) ()
+  scn_kv ~slack:8192 ?tweak
+    ~preload:[ (1, 121); (2, 122); (3, 123); (4, 124); (5, 125); (6, 126) ]
+    ~plan:
+      [ Ktxn
+          [ Service.Kv.Tput { key = 3; vseed = 301 };
+            Service.Kv.Tput { key = 4; vseed = 302 } ];
+        Kput (9, 303);
+        Ktxn
+          [ Service.Kv.Tdel { key = 2 };
+            Service.Kv.Tput { key = 11; vseed = 304 };
+            Service.Kv.Tput { key = 7; vseed = 305 } ];
+        Ktxn
+          [ Service.Kv.Tput { key = 5; vseed = 306 };
+            Service.Kv.Tdel { key = 99 } ];
+        Kdel 6 ]
+    sname
 
 (* MVCC read-path sweep: the kv-put/delete/txn op mix again, but on a
-   store with a version window, and after every completed operation the
-   driver mints a snapshot and audits it against the completed-prefix
-   model — every key in the universe via [snapshot_get] and the whole
-   keyspace via one multi-shard [snapshot_scan].  A stale, torn or
-   phantom read is recorded as a violation and surfaces through the
-   [snapshot-reads] oracle at every crash point past the offending op,
-   naming that op.  Recovery is still checked by the standard prefix
-   oracle: version chains are volatile DRAM, so a crash must leave the
+   store with a version window, and after every completed operation
+   the scenario mints a snapshot and audits it against the
+   completed-prefix model — every key in the universe via
+   [snapshot_get] and the whole keyspace via one multi-shard
+   [snapshot_scan].  Recovery is still checked by the prefix oracle:
+   version chains are volatile DRAM, so a crash must leave the
    re-attached store indistinguishable from the no-MVCC sweeps. *)
-let scn_kv_snapshot () =
-  let preload =
-    [ (1, 151); (2, 152); (3, 153); (4, 154); (5, 155); (6, 156) ]
-  in
-  let plan =
-    [ Kput (3, 501); Kput (9, 502); Kdel 2;
-      Ktxn
-        [ Service.Kv.Tput { key = 5; vseed = 503 };
-          Service.Kv.Tput { key = 7; vseed = 504 } ];
-      Kput (3, 505); Kdel 5; Kput (10, 506) ]
-  in
-  let universe =
-    List.sort_uniq compare
-      (List.map fst preload
-      @ List.concat_map
-          (function
-            | Kput (k, _) | Kdel k -> [ k ]
-            | Ktxn ops -> List.map txn_op_key ops)
-          plan)
-  in
-  let svc = ref None in
-  let acked = ref 0 in
-  let violations = ref [] in
-  let setup () =
-    let env = mk_env () in
-    env.ledger.slack <- 8192;
-    let inst = Poseidon.instance env.heap in
-    let s = Service.Kv.create ~mvcc_window:4 inst ~shards:2 ~value_size:64 in
-    List.iter
-      (fun (k, vs) ->
-        if not (Service.Kv.put s ~key:k ~vseed:vs) then
-          failwith "kv-snapshot scenario: preload put failed")
-      preload;
-    svc := Some s;
-    acked := 0;
-    violations := [];
-    env.ledger.durable <- (H.stats env.heap).H.live_bytes;
-    finish_setup env
-  in
-  let op env =
-    let s = Option.get !svc in
-    let model = Hashtbl.create 32 in
-    List.iter (fun (k, vs) -> Hashtbl.replace model k vs) preload;
-    let cks vs = Service.Kv.value_checksum s ~vseed:vs in
-    let audit i =
-      let ts = Service.Kv.snapshot s in
-      List.iter
-        (fun k ->
-          let got = Service.Kv.snapshot_get s ~ts ~key:k
-          and want = Option.map cks (Hashtbl.find_opt model k) in
-          if got <> want then
-            violations :=
-              Printf.sprintf
-                "after op %d: snapshot_get key %d disagrees with the \
-                 completed-prefix model"
-                i k
-              :: !violations)
-        universe;
-      let want_scan =
-        Hashtbl.fold (fun k vs acc -> (k, cks vs) :: acc) model []
-        |> List.sort compare
-      and got_scan = ref [] in
-      let n =
-        Service.Kv.snapshot_scan s ~ts ~from_key:1 ~n:64 (fun k d ->
-            got_scan := (k, d) :: !got_scan)
-      in
-      if List.rev !got_scan <> want_scan || n <> List.length want_scan then
-        violations :=
-          Printf.sprintf
-            "after op %d: snapshot_scan visited %d entr(ies), model has %d, \
-             or contents/order differ"
-            i n (List.length want_scan)
-          :: !violations
+let kv_snapshot sname =
+  let audit ctx i =
+    let s = ctx.svc in
+    let ts = Service.Kv.snapshot s in
+    audit_keys ctx i ~path:"snapshot_get" (fun k ->
+        Service.Kv.snapshot_get s ~ts ~key:k);
+    let want_scan =
+      Hashtbl.fold
+        (fun k vs acc -> (k, Service.Kv.value_checksum s ~vseed:vs) :: acc)
+        ctx.model []
+      |> List.sort compare
+    and got_scan = ref [] in
+    let n =
+      Service.Kv.snapshot_scan s ~ts ~from_key:1 ~n:64 (fun k d ->
+          got_scan := (k, d) :: !got_scan)
     in
-    List.iteri
-      (fun i o ->
-        (match o with
-         | Kput (k, vs) -> ignore (Service.Kv.put s ~key:k ~vseed:vs)
-         | Kdel k -> ignore (Service.Kv.delete s ~key:k)
-         | Ktxn ops -> ignore (Service.Kv.txn s ops));
-        apply_kv model o;
-        incr acked;
-        env.ledger.durable <- (H.stats env.heap).H.live_bytes;
-        audit i)
-      plan
+    if List.rev !got_scan <> want_scan || n <> List.length want_scan then
+      ctx.flag
+        (Printf.sprintf
+           "after op %d: snapshot_scan visited %d entr(ies), model has %d, \
+            or contents/order differ"
+           i n (List.length want_scan))
   in
-  let o_snap =
-    { oname = "snapshot-reads";
-      check =
-        (fun _env ->
-          match List.rev !violations with
-          | [] -> Ok ()
-          | v :: _ ->
-            Error
-              (Printf.sprintf "%d stale/torn snapshot read(s), first: %s"
-                 (List.length !violations)
-                 v)) }
-  in
-  let o_kv = kv_prefix_oracle ~oname:"kv-store" ~preload ~plan ~acked () in
-  { sname = "kv-snapshot"; setup; op; extra_oracles = [ o_snap; o_kv ] }
+  scn_kv ~slack:8192 ~mvcc_window:4 ~audit
+    ~reads:("snapshot-reads", "stale/torn snapshot read(s)")
+    ~preload:[ (1, 151); (2, 152); (3, 153); (4, 154); (5, 155); (6, 156) ]
+    ~plan:
+      [ Kput (3, 501); Kput (9, 502); Kdel 2;
+        Ktxn
+          [ Service.Kv.Tput { key = 5; vseed = 503 };
+            Service.Kv.Tput { key = 7; vseed = 504 } ];
+        Kput (3, 505); Kdel 5; Kput (10, 506) ]
+    sname
 
 (* The seeded MVCC bug: {!Service.Kv.mvcc_break_early_publish} makes a
    staged [txn_prepare] publish the transaction's versions before any
-   decision record exists.  The driver stages prepare → observes a
+   decision record exists.  The op runner stages prepare → observes a
    snapshot → decides → applies; the observation between prepare and
    decide reads values no committed history contains, so the
-   [snapshot-reads] oracle must produce counterexamples — the mutation
-   gate in scripts/check.sh fails CI when the checker stays green. *)
-let scn_mvcc_broken () =
-  let preload = [ (3, 161); (4, 162); (5, 163) ] in
-  let plan =
-    [ Ktxn
-        [ Service.Kv.Tput { key = 3; vseed = 601 };
-          Service.Kv.Tput { key = 4; vseed = 602 } ];
-      Ktxn
-        [ Service.Kv.Tput { key = 5; vseed = 603 };
-          Service.Kv.Tput { key = 7; vseed = 604 } ] ]
+   [snapshot-reads] oracle must produce counterexamples. *)
+let mvcc_broken sname =
+  let run ctx i = function
+    | Ktxn ops -> (
+      match Service.Kv.txn_prepare ctx.svc ops with
+      | Error _ -> failwith "mvcc-broken scenario: prepare aborted"
+      | Ok txn ->
+        (* the transaction is prepared but undecided: no snapshot may
+           see its writes yet — with the bug armed, it does *)
+        let ts = Service.Kv.snapshot ctx.svc in
+        List.iter
+          (fun top ->
+            let k = txn_op_key top in
+            if Service.Kv.snapshot_get ctx.svc ~ts ~key:k <> expected ctx k
+            then
+              ctx.flag
+                (Printf.sprintf
+                   "txn %d: snapshot observed undecided write to key %d" i k))
+          ops;
+        Service.Kv.txn_decide ctx.svc ~txn;
+        Service.Kv.txn_apply ctx.svc ~txn)
+    | Kput _ | Kdel _ -> invalid_arg "mvcc-broken: the plan is all transactions"
   in
-  let svc = ref None in
-  let acked = ref 0 in
-  let violations = ref [] in
-  let setup () =
-    let env = mk_env () in
-    env.ledger.slack <- 8192;
-    let inst = Poseidon.instance env.heap in
-    let s = Service.Kv.create ~mvcc_window:4 inst ~shards:2 ~value_size:64 in
-    List.iter
-      (fun (k, vs) ->
-        if not (Service.Kv.put s ~key:k ~vseed:vs) then
-          failwith "mvcc-broken scenario: preload put failed")
-      preload;
-    Service.Kv.mvcc_break_early_publish s;
-    svc := Some s;
-    acked := 0;
-    violations := [];
-    env.ledger.durable <- (H.stats env.heap).H.live_bytes;
-    finish_setup env
-  in
-  let op env =
-    let s = Option.get !svc in
-    let model = Hashtbl.create 32 in
-    List.iter (fun (k, vs) -> Hashtbl.replace model k vs) preload;
-    let cks vs = Service.Kv.value_checksum s ~vseed:vs in
-    List.iteri
-      (fun i o ->
-        let ops = match o with Ktxn ops -> ops | _ -> assert false in
-        (match Service.Kv.txn_prepare s ops with
-         | Error _ -> failwith "mvcc-broken scenario: prepare aborted"
-         | Ok txn ->
-           (* the transaction is prepared but undecided: no snapshot may
-              see its writes yet — with the bug armed, it does *)
-           let ts = Service.Kv.snapshot s in
-           List.iter
-             (fun top ->
-               let k = txn_op_key top in
-               let got = Service.Kv.snapshot_get s ~ts ~key:k
-               and want = Option.map cks (Hashtbl.find_opt model k) in
-               if got <> want then
-                 violations :=
-                   Printf.sprintf
-                     "txn %d: snapshot observed undecided write to key %d"
-                     i k
-                   :: !violations)
-             ops;
-           Service.Kv.txn_decide s ~txn;
-           Service.Kv.txn_apply s ~txn);
-        apply_kv model o;
-        incr acked;
-        env.ledger.durable <- (H.stats env.heap).H.live_bytes)
-      plan
-  in
-  let o_snap =
-    { oname = "snapshot-reads";
-      check =
-        (fun _env ->
-          match List.rev !violations with
-          | [] -> Ok ()
-          | v :: _ ->
-            Error
-              (Printf.sprintf "%d uncommitted-read violation(s), first: %s"
-                 (List.length !violations)
-                 v)) }
-  in
-  { sname = "mvcc-broken"; setup; op; extra_oracles = [ o_snap ] }
+  scn_kv ~slack:8192 ~mvcc_window:4
+    ~tweak:Service.Kv.mvcc_break_early_publish ~run
+    ~reads:("snapshot-reads", "uncommitted-read violation(s)")
+    ~prefix:false
+    ~preload:[ (3, 161); (4, 162); (5, 163) ]
+    ~plan:
+      [ Ktxn
+          [ Service.Kv.Tput { key = 3; vseed = 601 };
+            Service.Kv.Tput { key = 4; vseed = 602 } ];
+        Ktxn
+          [ Service.Kv.Tput { key = 5; vseed = 603 };
+            Service.Kv.Tput { key = 7; vseed = 604 } ] ]
+    sname
 
 (* DRAM read-cache sweep: the kv-snapshot op mix on a store with both a
    version window and a read cache ([rcache_entries:4] per shard —
-   smaller than the plan's per-shard keyspace, so the audits force CLOCK
-   evictions).  After every completed operation the driver audits the
-   completed-prefix model twice: every key in the universe through the
-   cached plain-[get] path (the first audit after a mutation reads
-   through and re-fills; the cache must never answer with a digest the
-   store no longer holds) and again through a fresh snapshot, which may
-   answer from the cache only when the cached version's timestamp admits
-   it.  A stale cached digest is recorded as a violation and surfaces
-   through the [cached-reads] oracle at every crash point past the
-   offending op.  Recovery is still checked by the standard prefix
-   oracle: the cache is volatile DRAM, so a crash must leave the
-   re-attached store indistinguishable from the uncached sweeps. *)
-let scn_kv_rcache ?(break = false) ~sname () =
-  let preload =
-    [ (1, 171); (2, 172); (3, 173); (4, 174); (5, 175); (6, 176) ]
+   smaller than the plan's per-shard keyspace, so the audits force
+   CLOCK evictions).  After every completed operation the scenario audits
+   the completed-prefix model twice: every key through the cached
+   plain-[get] path (the first audit after a mutation reads through and
+   re-fills; the cache must never answer with a digest the store no
+   longer holds) and again through a fresh snapshot, which may answer
+   from the cache only when the cached version's timestamp admits it.
+   Recovery is still checked by the prefix oracle: the cache is
+   volatile DRAM, so a crash must leave the re-attached store
+   indistinguishable from the uncached sweeps.  [tweak] arms the seeded
+   bug: {!Service.Kv.rcache_break_late_invalidate} defers every
+   invalidation until the NEXT mutation starts, so between a mutation's
+   return and the following one the cache still serves the overwritten
+   (or deleted) digest — exactly the window the audits read. *)
+let kv_rcache ?tweak sname =
+  let audit ctx i =
+    let s = ctx.svc in
+    audit_keys ctx i ~path:"cached get" (fun k -> Service.Kv.get s ~key:k);
+    let ts = Service.Kv.snapshot s in
+    audit_keys ctx i ~path:"cached snapshot_get" (fun k ->
+        Service.Kv.snapshot_get s ~ts ~key:k)
   in
-  let plan =
-    [ Kput (3, 701); Kput (9, 702); Kdel 2;
-      Ktxn
-        [ Service.Kv.Tput { key = 5; vseed = 703 };
-          Service.Kv.Tput { key = 7; vseed = 704 } ];
-      Kput (3, 705); Kdel 5; Kput (10, 706); Kput (9, 707) ]
-  in
-  let universe =
-    List.sort_uniq compare
-      (List.map fst preload
-      @ List.concat_map
-          (function
-            | Kput (k, _) | Kdel k -> [ k ]
-            | Ktxn ops -> List.map txn_op_key ops)
-          plan)
-  in
-  let svc = ref None in
-  let acked = ref 0 in
-  let violations = ref [] in
-  let setup () =
-    let env = mk_env () in
-    env.ledger.slack <- 8192;
-    let inst = Poseidon.instance env.heap in
-    let s =
-      Service.Kv.create ~mvcc_window:4 ~rcache_entries:4 inst ~shards:2
-        ~value_size:64
-    in
-    List.iter
-      (fun (k, vs) ->
-        if not (Service.Kv.put s ~key:k ~vseed:vs) then
-          failwith "kv-rcache scenario: preload put failed")
-      preload;
-    if break then Service.Kv.rcache_break_late_invalidate s;
-    svc := Some s;
-    acked := 0;
-    violations := [];
-    env.ledger.durable <- (H.stats env.heap).H.live_bytes;
-    finish_setup env
-  in
-  let op env =
-    let s = Option.get !svc in
-    let model = Hashtbl.create 32 in
-    List.iter (fun (k, vs) -> Hashtbl.replace model k vs) preload;
-    let cks vs = Service.Kv.value_checksum s ~vseed:vs in
-    let audit i =
-      List.iter
-        (fun k ->
-          let got = Service.Kv.get s ~key:k
-          and want = Option.map cks (Hashtbl.find_opt model k) in
-          if got <> want then
-            violations :=
-              Printf.sprintf
-                "after op %d: cached get of key %d disagrees with the \
-                 completed-prefix model"
-                i k
-              :: !violations)
-        universe;
-      let ts = Service.Kv.snapshot s in
-      List.iter
-        (fun k ->
-          let got = Service.Kv.snapshot_get s ~ts ~key:k
-          and want = Option.map cks (Hashtbl.find_opt model k) in
-          if got <> want then
-            violations :=
-              Printf.sprintf
-                "after op %d: snapshot_get of key %d disagrees with the \
-                 completed-prefix model (cache admitted a wrong version)"
-                i k
-              :: !violations)
-        universe
-    in
-    List.iteri
-      (fun i o ->
-        (match o with
-         | Kput (k, vs) -> ignore (Service.Kv.put s ~key:k ~vseed:vs)
-         | Kdel k -> ignore (Service.Kv.delete s ~key:k)
-         | Ktxn ops -> ignore (Service.Kv.txn s ops));
-        apply_kv model o;
-        incr acked;
-        env.ledger.durable <- (H.stats env.heap).H.live_bytes;
-        audit i)
-      plan
-  in
-  let o_rcache =
-    { oname = "cached-reads";
-      check =
-        (fun _env ->
-          match List.rev !violations with
-          | [] -> Ok ()
-          | v :: _ ->
-            Error
-              (Printf.sprintf "%d stale cached read(s), first: %s"
-                 (List.length !violations)
-                 v)) }
-  in
-  let o_kv = kv_prefix_oracle ~oname:"kv-store" ~preload ~plan ~acked () in
-  { sname; setup; op; extra_oracles = [ o_rcache; o_kv ] }
+  scn_kv ~slack:8192 ~mvcc_window:4 ~rcache_entries:4 ?tweak ~audit
+    ~reads:("cached-reads", "stale cached read(s)")
+    ~preload:[ (1, 171); (2, 172); (3, 173); (4, 174); (5, 175); (6, 176) ]
+    ~plan:
+      [ Kput (3, 701); Kput (9, 702); Kdel 2;
+        Ktxn
+          [ Service.Kv.Tput { key = 5; vseed = 703 };
+            Service.Kv.Tput { key = 7; vseed = 704 } ];
+        Kput (3, 705); Kdel 5; Kput (10, 706); Kput (9, 707) ]
+    sname
 
-let scn_kv_rcache_put () = scn_kv_rcache ~sname:"kv-rcache-put" ()
+(* ---------- replicated KV scenarios: two machines ---------- *)
 
-(* The seeded cache bug: {!Service.Kv.rcache_break_late_invalidate}
-   defers every invalidation until the NEXT mutation starts, so between
-   a mutation's return and the following one the cache still serves the
-   overwritten (or deleted) digest.  The audits between ops read exactly
-   that window, so the [cached-reads] oracle must produce
-   counterexamples — the mutation gate in scripts/check.sh fails CI when
-   the checker stays green. *)
-let scn_rcache_broken () = scn_kv_rcache ~break:true ~sname:"rcache-broken" ()
+type cluster = {
+  svc_p : Service.Kv.t;
+  shipper : Replica.Shipper.t;
+  applier : Replica.Applier.t;
+  link : Replica.msg Cluster.Link.t;
+}
 
-(* Sweep the full sync-replication pipeline: primary local persist →
-   ship over the link → backup apply/persist → cumulative ack.  Two
-   machines (two devices — the primary's rides in [aux_devs], so its
-   fences interleave into the same point space), one {!Cluster.Link},
-   the real {!Replica} shipper/applier.  The whole cluster loses power
-   at each point; recovery attaches the BACKUP ([env.mach]) — primary
-   loss is the failure replication exists for — and the oracle asserts
-   the backup store equals the acked prefix: any write acked in sync
-   mode survives the primary's death, and the in-flight record is
-   atomic (pre- or post-state, never torn). *)
-let scn_kv_replicated_put () =
-  let preload = [ (1, 131); (2, 132); (3, 133); (4, 134) ] in
-  let plan =
-    [ Kput (3, 301);
-      Kput (9, 302);
-      Kdel 2;
-      (* a committed cross-shard transaction rides the same streams as
-         a Txn_prepare + Txn_decide pair per participant shard *)
-      Ktxn
-        [ Service.Kv.Tput { key = 5; vseed = 304 };
-          Service.Kv.Tput { key = 7; vseed = 305 } ];
-      Kput (10, 303) ]
-  in
-  let state = ref None in
-  let acked = ref 0 in
+(* Two-machine sweep of the replication pipeline.  Two machines (two
+   devices — the primary's rides in [aux_devs], so its fences
+   interleave into the same point space), one {!Cluster.Link}, the real
+   {!Replica} shipper/applier ([batched]: doorbell frames acked
+   cumulatively, applies grouped).  The whole cluster loses power at
+   each point; recovery attaches the BACKUP ([env.mach]) — primary loss
+   is the failure replication exists for — and the [oname] prefix
+   oracle (with [window]) judges the backup store against the plan.
+   [drive] runs the plan on the primary and ships it, advancing
+   [acked] as acks arrive and calling [settle] to move the ledger. *)
+let scn_cluster ?window ~oname ~slack ~repl_window ~batched ~preload ~plan
+    ~drive sname =
+  let state = ref None and acked = ref 0 in
   let setup () =
     (* backup first: it is the env the sweep recovers and checks *)
     let env = mk_env () in
-    env.ledger.slack <- 4096;
+    env.ledger.slack <- slack;
     let svc_b =
       Service.Kv.create (Poseidon.instance env.heap) ~shards:2 ~value_size:64
     in
@@ -1080,160 +883,116 @@ let scn_kv_replicated_put () =
     let svc_p =
       Service.Kv.create (Poseidon.instance penv.heap) ~shards:2 ~value_size:64
     in
-    List.iter
-      (fun (k, vs) ->
-        if
-          not
-            (Service.Kv.put svc_p ~key:k ~vseed:vs
-            && Service.Kv.put svc_b ~key:k ~vseed:vs)
-        then failwith "kv-replicated scenario: preload put failed")
-      preload;
+    preload_kv ~sname preload (fun k vs ->
+        Service.Kv.put svc_p ~key:k ~vseed:vs
+        && Service.Kv.put svc_b ~key:k ~vseed:vs);
     let link = Cluster.Link.create () in
-    let rcfg = { Replica.default_config with Replica.window = 8 } in
+    let rcfg = { Replica.default_config with Replica.window = repl_window } in
     let shipper = Replica.Shipper.create rcfg ~shards:2 ~link in
     let applier =
-      Replica.Applier.create rcfg ~shards:2 ~link
+      Replica.Applier.create rcfg ~shards:2 ~link ~ack_batch:batched
         ~apply:(fun ~shard op -> Service.Txn.apply_replicated svc_b ~shard op)
+        ~apply_group:(fun ~shard ops ->
+          Service.Txn.apply_replicated_group svc_b ~shard ops)
     in
-    state := Some (svc_p, shipper, applier, link);
+    state := Some { svc_p; shipper; applier; link };
     acked := 0;
     env.aux_devs <- [ Machine.dev penv.mach ];
     Memdev.drain (Machine.dev penv.mach);
-    env.ledger.durable <- (H.stats env.heap).H.live_bytes;
+    env.ledger.durable <- live_bytes env;
     finish_setup env
   in
   let op env =
-    let svc_p, shipper, applier, link = Option.get !state in
-    (* 3. backup applies + persists; 4. wait for every record's ack *)
-    let pump_until_acked seqs =
-      Replica.Applier.pump applier ~until:(fun () ->
-          Cluster.Link.pending link ~ep:Replica.backup_ep = 0);
-      List.iter
-        (fun (shard, seq) ->
-          if
-            not (Replica.Shipper.wait_acked shipper ~shard ~seq ~deadline:0)
-          then failwith "kv-replicated scenario: sync ack lost on clean run")
-        seqs
+    drive (Option.get !state) plan acked ~settle:(fun () ->
+        env.ledger.durable <- live_bytes env)
+  in
+  { sname;
+    setup;
+    op;
+    extra_oracles = [ kv_prefix_oracle ?window ~oname ~preload ~plan ~acked () ]
+  }
+
+(* Let the backup drain the link (apply + persist), then demand every
+   [(shard, seq)] acked. *)
+let await_acks c seqs =
+  Replica.Applier.pump c.applier ~until:(fun () ->
+      Cluster.Link.pending c.link ~ep:Replica.backup_ep = 0);
+  List.iter
+    (fun (shard, seq) ->
+      if not (Replica.Shipper.wait_acked c.shipper ~shard ~seq ~deadline:0)
+      then failwith "replicated scenario: ack lost on clean run")
+    seqs
+
+(* Sync replication: each op persists on the primary, ships, is applied
+   and persisted on the backup and acked before the next starts, so
+   the window-1 prefix oracle asserts any write acked in sync mode
+   survives the primary's death, the in-flight record atomic. *)
+let kv_replicated_put sname =
+  let drive c plan acked ~settle =
+    let ship_one k rop =
+      let shard = Service.Kv.shard_of_key c.svc_p k in
+      await_acks c [ (shard, Replica.Shipper.ship c.shipper ~shard rop) ]
     in
     List.iter
       (fun o ->
-        (* 1. primary local persist; 2. ship *)
         (match o with
          | Kput (k, vs) ->
-           ignore (Service.Kv.put svc_p ~key:k ~vseed:vs);
-           let shard = Service.Kv.shard_of_key svc_p k in
-           let seq =
-             Replica.Shipper.ship shipper ~shard
-               (Replica.Put { key = k; vseed = vs })
-           in
-           pump_until_acked [ (shard, seq) ]
+           ignore (Service.Kv.put c.svc_p ~key:k ~vseed:vs);
+           ship_one k (Replica.Put { key = k; vseed = vs })
          | Kdel k ->
-           ignore (Service.Kv.delete svc_p ~key:k);
-           let shard = Service.Kv.shard_of_key svc_p k in
-           let seq =
-             Replica.Shipper.ship shipper ~shard (Replica.Del { key = k })
-           in
-           pump_until_acked [ (shard, seq) ]
+           ignore (Service.Kv.delete c.svc_p ~key:k);
+           ship_one k (Replica.Del { key = k })
          | Ktxn ops ->
+           (* a committed cross-shard transaction rides the same streams
+              as a Txn_prepare + Txn_decide pair per participant shard *)
            let seqs = ref [] in
            ignore
-             (Service.Kv.txn svc_p ops ~on_commit:(fun res ->
+             (Service.Kv.txn c.svc_p ops ~on_commit:(fun res ->
                   let nparts = List.length res.Service.Kv.participants in
                   List.iter
                     (fun (s, sops) ->
                       ignore
-                        (Replica.Shipper.ship shipper ~shard:s
+                        (Replica.Shipper.ship c.shipper ~shard:s
                            (Replica.Txn_prepare
                               { txn = res.Service.Kv.txn_id; ops = sops }));
                       let q =
-                        Replica.Shipper.ship shipper ~shard:s
+                        Replica.Shipper.ship c.shipper ~shard:s
                           (Replica.Txn_decide
                              { txn = res.Service.Kv.txn_id; commit = true;
                                nparts })
                       in
                       seqs := (s, q) :: !seqs)
                     res.Service.Kv.participants));
-           pump_until_acked !seqs);
+           await_acks c !seqs);
         incr acked;
-        env.ledger.durable <- (H.stats env.heap).H.live_bytes)
+        settle ())
       plan
   in
-  let o_kv = kv_prefix_oracle ~oname:"kv-replica" ~preload ~plan ~acked () in
-  { sname = "kv-replicated-put"; setup; op; extra_oracles = [ o_kv ] }
+  scn_cluster ~oname:"kv-replica" ~slack:4096 ~repl_window:8 ~batched:false
+    ~preload:[ (1, 131); (2, 132); (3, 133); (4, 134) ]
+    ~plan:
+      [ Kput (3, 301); Kput (9, 302); Kdel 2;
+        Ktxn
+          [ Service.Kv.Tput { key = 5; vseed = 304 };
+            Service.Kv.Tput { key = 7; vseed = 305 } ];
+        Kput (10, 303) ]
+    ~drive sname
 
-(* Sweep the batched pipeline end to end: queue → group commit (one
-   covering persist chain per chunk) → doorbell-batched ship (one
-   frame per chunk) → batched cumulative ack.  Same two-machine,
-   correlated-crash setup as [scn_kv_replicated_put]; [acked] advances
-   a whole group at a time, only after the group's covering flush is
-   acked, so the windowed prefix oracle asserts the loss bound: a
-   crash mid-group loses at most the unacked window, never an acked
-   op.  [premature_ack] is the seeded bug for the mutation gate: the
-   driver claims the group durable BEFORE executing/flushing it —
-   acks ahead of the covering flush — which the checker must flag. *)
-let scn_kv_batched ?(window = 4) ?(premature_ack = false) ~sname () =
-  (* all keys on shard 0 of 2 (asserted below): a commit group is a
-     single-shard run by construction, mirroring the server's
-     per-shard inbox *)
-  let preload = [ (2, 141); (3, 142); (7, 143); (8, 144) ] in
-  let plan =
-    [ Kput (3, 401); Kput (9, 402); Kdel 2; Kput (10, 403); Kput (3, 404);
-      Kdel 99; Kput (2, 405); Kdel 8; Kput (7, 406); Kput (99, 407) ]
-  in
-  List.iter
-    (fun o ->
-      let k = match o with Kput (k, _) | Kdel k -> k | Ktxn _ -> assert false in
-      assert (Service.Kv.shard_of ~shards:2 k = 0))
-    plan;
-  let state = ref None in
-  let acked = ref 0 in
-  let setup () =
-    let env = mk_env () in
-    env.ledger.slack <- 4096 + (1024 * window);
-    let svc_b =
-      Service.Kv.create (Poseidon.instance env.heap) ~shards:2 ~value_size:64
-    in
-    let penv = mk_env () in
-    let svc_p =
-      Service.Kv.create (Poseidon.instance penv.heap) ~shards:2 ~value_size:64
-    in
-    List.iter
-      (fun (k, vs) ->
-        if
-          not
-            (Service.Kv.put svc_p ~key:k ~vseed:vs
-            && Service.Kv.put svc_b ~key:k ~vseed:vs)
-        then failwith "kv-batched scenario: preload put failed")
-      preload;
-    let link = Cluster.Link.create () in
-    let rcfg = { Replica.default_config with Replica.window = 32 } in
-    let shipper = Replica.Shipper.create rcfg ~shards:2 ~link in
-    let applier =
-      Replica.Applier.create rcfg ~shards:2 ~link ~ack_batch:true
-        ~apply:(fun ~shard op -> Service.Txn.apply_replicated svc_b ~shard op)
-        ~apply_group:(fun ~shard ops ->
-          Service.Txn.apply_replicated_group svc_b ~shard ops)
-    in
-    state := Some (svc_p, shipper, applier, link);
-    acked := 0;
-    env.aux_devs <- [ Machine.dev penv.mach ];
-    Memdev.drain (Machine.dev penv.mach);
-    env.ledger.durable <- (H.stats env.heap).H.live_bytes;
-    finish_setup env
-  in
-  let op env =
-    let svc_p, shipper, applier, link = Option.get !state in
-    let rec groups = function
-      | [] -> []
-      | ops ->
-        let rec take n = function
-          | o :: rest when n > 0 ->
-            let g, rest' = take (n - 1) rest in
-            (o :: g, rest')
-          | rest -> ([], rest)
-        in
-        let g, rest = take window ops in
-        g :: groups rest
+(* The batched pipeline end to end: queue → group commit (one covering
+   persist chain per chunk) → doorbell-batched ship (one frame per
+   chunk) → batched cumulative ack.  [acked] advances a whole group at
+   a time, only after the group's covering flush is acked, so the
+   windowed prefix oracle asserts the loss bound: a crash mid-group
+   loses at most the unacked window, never an acked op.
+   [premature_ack] is the seeded bug: the plan runner claims the group
+   durable BEFORE executing/flushing it — acks ahead of the covering
+   flush — which the checker must flag. *)
+let kv_batched ?(window = 4) ~premature_ack sname =
+  let drive c plan acked ~settle =
+    let n = List.length plan in
+    let groups =
+      List.init ((n + window - 1) / window) (fun g ->
+          List.filteri (fun i _ -> i / window = g) plan)
     in
     List.iter
       (fun gops ->
@@ -1248,7 +1007,7 @@ let scn_kv_batched ?(window = 4) ?(premature_ack = false) ~sname () =
             gops
         in
         ignore
-          (Service.Kv.group_commit svc_p ~shard:0 kv_ops
+          (Service.Kv.group_commit c.svc_p ~shard:0 kv_ops
              ~on_chunk:(fun ~fin:_ cops ->
                List.iter
                  (fun op ->
@@ -1258,32 +1017,30 @@ let scn_kv_batched ?(window = 4) ?(premature_ack = false) ~sname () =
                        Replica.Put { key; vseed }
                      | Service.Kv.Tdel { key } -> Replica.Del { key }
                    in
-                   last := Replica.Shipper.ship_buffered shipper ~shard:0 rop)
+                   last := Replica.Shipper.ship_buffered c.shipper ~shard:0 rop)
                  cops;
-               ignore (Replica.Shipper.flush shipper)));
-        if !last >= 0 then begin
-          Replica.Applier.pump applier ~until:(fun () ->
-              Cluster.Link.pending link ~ep:Replica.backup_ep = 0);
-          if
-            not
-              (Replica.Shipper.wait_acked shipper ~shard:0 ~seq:!last
-                 ~deadline:0)
-          then failwith "kv-batched scenario: ack lost on clean run"
-        end;
+               ignore (Replica.Shipper.flush c.shipper)));
+        if !last >= 0 then await_acks c [ (0, !last) ];
         if not premature_ack then acked := !acked + List.length gops;
-        env.ledger.durable <- (H.stats env.heap).H.live_bytes)
-      (groups plan)
+        settle ())
+      groups
   in
-  let o_kv =
-    kv_prefix_oracle ~window ~oname:"kv-batched" ~preload ~plan ~acked ()
+  (* all keys on shard 0 of 2 (asserted below): a commit group is a
+     single-shard run by construction, mirroring the server's
+     per-shard inbox *)
+  let plan =
+    [ Kput (3, 401); Kput (9, 402); Kdel 2; Kput (10, 403); Kput (3, 404);
+      Kdel 99; Kput (2, 405); Kdel 8; Kput (7, 406); Kput (99, 407) ]
   in
-  { sname; setup; op; extra_oracles = [ o_kv ] }
+  List.iter
+    (fun k -> assert (Service.Kv.shard_of ~shards:2 k = 0))
+    (kv_universe ~preload:[] ~plan);
+  scn_cluster ~window ~oname:"kv-batched" ~slack:(4096 + (1024 * window))
+    ~repl_window:32 ~batched:true
+    ~preload:[ (2, 141); (3, 142); (7, 143); (8, 144) ]
+    ~plan ~drive sname
 
-let scn_kv_batched_put ?window ?premature_ack () =
-  scn_kv_batched ?window ?premature_ack ~sname:"kv-batched-put" ()
-
-let scn_kv_batched_broken () =
-  scn_kv_batched ~premature_ack:true ~sname:"kv-batched-broken" ()
+let scn_kv_batched ?window sname = kv_batched ?window ~premature_ack:false sname
 
 (* ---------- magazine-cache sweep (lib/tcache) ---------- *)
 
@@ -1333,78 +1090,72 @@ let kv_value_census_oracle ~value_size ~universe () =
    snapshots [live_bytes] with bins resident (leased blocks are live
    until crash recovery frees them), so up to 2 x mag blocks of each
    cached class (64 B values, 512 B tree nodes) plus one in-flight
-   carve sit between the snapshot and the recovered heap. *)
-let tcache_preload =
-  [ (1, 161); (2, 162); (3, 163); (4, 164); (5, 165); (6, 166) ]
-
-let tcache_plan =
-  [ Kput (3, 601); Kput (9, 602); Kdel 2; Kput (10, 603); Kput (3, 604);
-    Kdel 5; Kput (11, 605); Kput (9, 606) ]
-
-let scn_kv_tcache ?fault ?(plan = tcache_plan) ~sname () =
-  let universe = Hashtbl.create 32 in
-  List.iter (fun (k, _) -> Hashtbl.replace universe k ()) tcache_preload;
-  List.iter
-    (function
-      | Kput (k, _) | Kdel k -> Hashtbl.replace universe k ()
-      | Ktxn ops ->
-        List.iter (fun o -> Hashtbl.replace universe (txn_op_key o) ()) ops)
-    plan;
-  let universe = Hashtbl.fold (fun k () a -> k :: a) universe [] in
-  scn_kv ~sname ~slack:12288
+   carve sit between the snapshot and the recovered heap.  [fault]
+   arms a seeded bug: [`Leaseless] frees recycle into the bins with no
+   reclaim lease and no persistent free; [`Hwm] frees persist their
+   lease without first raising the ledger's high-water mark. *)
+let kv_tcache ?fault
+    ?(plan =
+      [ Kput (3, 601); Kput (9, 602); Kdel 2; Kput (10, 603); Kput (3, 604);
+        Kdel 5; Kput (11, 605); Kput (9, 606) ]) sname =
+  let preload =
+    [ (1, 161); (2, 162); (3, 163); (4, 164); (5, 165); (6, 166) ]
+  in
+  scn_kv ~slack:12288
     ~wrap:(fun heap ->
       if fault = Some `Hwm then H.tc_break_hwm heap;
       let wrapped, h = Tcache.wrap ~mag:4 (Poseidon.instance heap) in
       if fault = Some `Leaseless then Tcache.break_recycle h;
       wrapped)
-    ~extra:[ kv_value_census_oracle ~value_size:64 ~universe () ]
-    ~preload:tcache_preload ~plan ()
+    ~extra:
+      [ kv_value_census_oracle ~value_size:64
+          ~universe:(kv_universe ~preload ~plan) () ]
+    ~preload ~plan sname
 
-let scn_kv_tcache_put () = scn_kv_tcache ~sname:"kv-tcache-put" ()
+(* ---------- registry ---------- *)
 
-(* The seeded cache bug: frees recycle into the bins with no reclaim
-   lease and no persistent free.  The checker MUST flag this — the
-   mutation gate in scripts/check.sh fails CI if it does not. *)
-let scn_kv_tcache_broken () =
-  scn_kv_tcache ~fault:`Leaseless ~sname:"tcache-broken" ()
+type kind = Correct | Seeded_bug
 
-(* The seeded ledger bug: a magazine free persists its reclaim lease
-   without first raising the high-water mark, so recovery's [0, hwm)
-   scan misses the lease — its block leaks, and the armed slot left
-   above the reset hwm trips the invariants oracle.  The plan is a run
-   of deletes because only a free that holds more leases at once than
-   any carve did takes a slot at the hwm; [tcache_plan]'s frees never
-   do.  The checker MUST flag this; scripts/check.sh gates on it. *)
-let scn_kv_tcache_hwm_broken () =
-  scn_kv_tcache ~fault:`Hwm
-    ~plan:[ Kdel 1; Kdel 2; Kdel 3; Kdel 4; Kdel 5; Kdel 6 ]
-    ~sname:"tcache-hwm-broken" ()
+type entry = { name : string; kind : kind; make : unit -> scenario }
+
+let registry =
+  let e kind name make = { name; kind; make = (fun () -> make name) } in
+  [ e Correct "alloc" scn_alloc;
+    e Correct "free" scn_free;
+    e Correct "tx-commit" scn_tx_commit;
+    e Correct "tx-abort" scn_tx_abort;
+    e Correct "extend" scn_extend;
+    (* a two-line commit protocol missing the data line's clwb *)
+    e Seeded_bug "broken" scn_broken_missing_flush;
+    e Correct "kv-put" kv_put;
+    e Correct "kv-delete" kv_delete;
+    e Correct "kv-txn" kv_txn;
+    (* the coordinator forgets to flush the decision record, so a crash
+       between the participant applies surfaces half a transaction *)
+    e Seeded_bug "kv-txn-broken"
+      (kv_txn ~tweak:Service.Kv.txn_break_decision_persist);
+    e Correct "kv-snapshot" kv_snapshot;
+    e Seeded_bug "mvcc-broken" mvcc_broken;
+    e Correct "kv-rcache-put" kv_rcache;
+    e Seeded_bug "rcache-broken"
+      (kv_rcache ~tweak:Service.Kv.rcache_break_late_invalidate);
+    e Correct "kv-replicated-put" kv_replicated_put;
+    e Correct "kv-batched-put" scn_kv_batched;
+    e Seeded_bug "kv-batched-broken" (kv_batched ~premature_ack:true);
+    e Correct "kv-tcache-put" kv_tcache;
+    e Seeded_bug "tcache-broken" (kv_tcache ~fault:`Leaseless);
+    (* only a free that holds more leases at once than any carve did
+       takes a slot at the hwm, hence a run of deletes *)
+    e Seeded_bug "tcache-hwm-broken"
+      (kv_tcache ~fault:`Hwm
+         ~plan:[ Kdel 1; Kdel 2; Kdel 3; Kdel 4; Kdel 5; Kdel 6 ]) ]
+
+let scenario_by_name name =
+  List.find_map
+    (fun e -> if e.name = name then Some (e.make ()) else None)
+    registry
 
 let all_scenarios () =
-  [ scn_alloc (); scn_free (); scn_tx_commit (); scn_tx_abort ();
-    scn_extend (); scn_kv_put (); scn_kv_delete (); scn_kv_txn ();
-    scn_kv_snapshot (); scn_kv_rcache_put (); scn_kv_replicated_put ();
-    scn_kv_batched_put (); scn_kv_tcache_put () ]
-
-let scenario_by_name = function
-  | "alloc" -> Some (scn_alloc ())
-  | "free" -> Some (scn_free ())
-  | "tx-commit" -> Some (scn_tx_commit ())
-  | "tx-abort" -> Some (scn_tx_abort ())
-  | "extend" -> Some (scn_extend ())
-  | "kv-put" -> Some (scn_kv_put ())
-  | "kv-delete" -> Some (scn_kv_delete ())
-  | "kv-txn" -> Some (scn_kv_txn ())
-  | "kv-txn-broken" -> Some (scn_kv_txn_broken ())
-  | "kv-snapshot" -> Some (scn_kv_snapshot ())
-  | "mvcc-broken" -> Some (scn_mvcc_broken ())
-  | "kv-rcache-put" -> Some (scn_kv_rcache_put ())
-  | "rcache-broken" -> Some (scn_rcache_broken ())
-  | "kv-replicated-put" -> Some (scn_kv_replicated_put ())
-  | "kv-batched-put" -> Some (scn_kv_batched_put ())
-  | "kv-batched-broken" -> Some (scn_kv_batched_broken ())
-  | "kv-tcache-put" -> Some (scn_kv_tcache_put ())
-  | "tcache-broken" -> Some (scn_kv_tcache_broken ())
-  | "tcache-hwm-broken" -> Some (scn_kv_tcache_hwm_broken ())
-  | "broken" -> Some (scn_broken_missing_flush ())
-  | _ -> None
+  List.filter_map
+    (fun e -> if e.kind = Correct then Some (e.make ()) else None)
+    registry

@@ -132,9 +132,11 @@ val subset_seed : seed:int -> point:int -> int -> int
     [point] under base [seed] — exposed so counterexamples replay. *)
 
 val check_point : scenario -> point:int -> mode:mode -> counterexample option
-(** Replays a single crash: run [op] to persistence point [point]
-    (or to completion if [point] exceeds the fence count), crash in
-    [mode], recover, run the oracles.  [None] = all green. *)
+(** Replays a single crash: run [op] to persistence point [point],
+    crash in [mode], recover, run the oracles.  [None] = all green.
+    The points of a scenario whose [op] executes [n] fences are
+    [1 .. n + 1] (the last crashes after [op] completed); any other
+    [point] raises [Invalid_argument] naming that range. *)
 
 val run :
   ?max_points:int ->
@@ -146,10 +148,10 @@ val run :
     is a crash after [op] completed); each point is checked in
     [Dirty_lost_all] plus [subsets_per_point] seeded [Dirty_subset]
     modes (default 2).  [max_points > 0] budget-caps the sweep to an
-    evenly-strided sample (default [0]: exhaustive).  Deterministic in
-    [seed].  Obs counters under scope ["crashcheck"]:
-    [points_explored], [subsets_tried], [recoveries_verified],
-    [counterexamples]. *)
+    evenly-strided sample (default [0]: exhaustive).  A negative
+    budget raises [Invalid_argument].  Deterministic in [seed].  Obs
+    counters under scope ["crashcheck"]: [points_explored],
+    [subsets_tried], [recoveries_verified], [counterexamples]. *)
 
 val pp_counterexample : Format.formatter -> counterexample -> unit
 val pp_report : Format.formatter -> report -> unit
@@ -157,154 +159,76 @@ val pp_report : Format.formatter -> report -> unit
 (** {2 Built-in scenarios}
 
     Operation paths over a deliberately small heap (one CPU, 64 KiB of
-    sub-heap data) so exhaustive enumeration stays cheap, plus a
-    deliberately broken protocol for mutation sanity checks.  The KV
-    scenarios drive the {!Service.Kv} intent protocol; the replicated
-    one adds a second machine and the {!Replica} shipping pipeline. *)
+    sub-heap data) so exhaustive enumeration stays cheap:
 
-val scn_alloc : unit -> scenario
-(** Mixed-size singleton allocations (split paths included). *)
+    - ["alloc"], ["free"], ["tx-commit"], ["tx-abort"], ["extend"]:
+      singleton allocations (split paths), frees of a pre-populated
+      heap (merge/defrag), two committed and one aborted
+      multi-allocation transaction, and tiny allocations that force
+      sub-heap hash-table extension (§5.2 growth path);
+    - the KV scenarios drive a plan of puts, deletes and cross-shard
+      transactions through the {!Service.Kv} intent and 2PC protocols.
+      One constructor runs them all: an optional hook per op stages it
+      (mvcc-broken's prepare / observe / decide / apply), and an
+      optional audit after each completed op reads the live store —
+      snapshots for ["kv-snapshot"], the DRAM read cache and snapshots
+      for ["kv-rcache-put"] — against the completed-prefix model, a
+      stale, torn or phantom read becoming a counterexample of the
+      scenario's read oracle.  ["kv-tcache-put"] allocates through a
+      {!Tcache} magazine cache and adds a [value-census] oracle: one
+      live value-class block per present key;
+    - ["kv-replicated-put"] and ["kv-batched-put"] add a second machine
+      and the {!Replica} pipeline (sync shipping, or group commit with
+      doorbell frames and cumulative acks); the whole cluster loses
+      power at every fence of both machines and recovery attaches the
+      backup.
 
-val scn_free : unit -> scenario
-(** Frees of a pre-populated heap (merge/defrag paths included). *)
+    Every KV sweep judges recovery by one prefix rule: the re-attached
+    store equals the plan-prefix state over the preload for some length
+    [m] in [\[acked, acked + window\]].  The window is 1 (the one
+    in-flight op applied whole or not at all — for a transaction,
+    all-or-nothing across every key) except in the batched sweep, where
+    it is the batch window: a crash mid-batch loses at most the unacked
+    window, never an acked op.
 
-val scn_tx_commit : unit -> scenario
-(** Two multi-allocation transactions committed via [is_end]. *)
+    Each seeded bug is the correct scenario with one protocol step
+    broken; the checker must flag it, and [scripts/check.sh] fails CI
+    when it does not:
+    - ["broken"]: a "write data, persist commit flag" protocol that
+      forgets the clwb on the data line (its [app-commit] oracle);
+    - ["kv-txn-broken"]: the 2PC coordinator skips the decision
+      record's flush ({!Service.Kv.txn_break_decision_persist});
+    - ["mvcc-broken"]: a staged prepare publishes its versions before
+      any decision exists ({!Service.Kv.mvcc_break_early_publish});
+    - ["rcache-broken"]: read-cache invalidations are deferred past the
+      mutation's reply ({!Service.Kv.rcache_break_late_invalidate});
+    - ["kv-batched-broken"]: the plan runner acks a group before its
+      covering flush is acked;
+    - ["tcache-broken"]: frees recycle with no reclaim lease
+      ({!Tcache.break_recycle});
+    - ["tcache-hwm-broken"]: a free persists its lease without raising
+      the reclaim ledger's high-water mark
+      ({!Poseidon.Heap.tc_break_hwm}). *)
 
-val scn_tx_abort : unit -> scenario
-(** A multi-allocation transaction explicitly aborted. *)
+type kind = Correct | Seeded_bug
 
-val scn_extend : unit -> scenario
-(** Tiny allocations against a tiny hash level 0, forcing sub-heap
-    hash-table extension (§5.2 growth path). *)
+type entry = {
+  name : string;  (** the scenario's [sname] and CLI name *)
+  kind : kind;
+  make : unit -> scenario;  (** a fresh instance per call *)
+}
 
-val scn_kv_put : unit -> scenario
-(** KV puts (inserts + overwrites) through the intent protocol; the
-    recovered store must equal the acked prefix of the plan, with the
-    one in-flight put atomic. *)
-
-val scn_kv_delete : unit -> scenario
-(** KV deletes (present, absent and re-inserted keys) under the same
-    acked-prefix oracle. *)
-
-val scn_kv_txn : unit -> scenario
-(** Cross-shard transactions through the 2PC coordinator-record
-    protocol ({!Service.Txn}), interleaved with single ops: 2-put and
-    delete+put commits spanning both shards, a strict-delete abort.
-    The acked-prefix oracle is transaction-aware — the in-flight
-    operation must read all-pre or all-post across {e every} key it
-    touches, so a commit half-applied across shards at any fence is a
-    counterexample. *)
-
-val scn_kv_txn_broken : unit -> scenario
-(** The same plan with {!Service.Kv.txn_break_decision_persist} armed:
-    the coordinator forgets to flush the decision record.  The checker
-    {e must} report counterexamples (a crash between the participant
-    applies surfaces half a transaction) — the mutation gate in
-    [scripts/check.sh] fails CI when it does not.  Excluded from
-    {!all_scenarios}, like [broken]. *)
-
-val scn_kv_snapshot : unit -> scenario
-(** The kv op mix on a store with an MVCC version window: after every
-    completed operation the driver audits a freshly minted snapshot —
-    [snapshot_get] over the key universe plus one multi-shard
-    [snapshot_scan] — against the completed-prefix model, and any
-    stale, torn or phantom read is a [snapshot-reads] counterexample.
-    Recovery keeps the standard acked-prefix oracle: version chains
-    are volatile, so the re-attached store must be indistinguishable
-    from the no-MVCC sweeps. *)
-
-val scn_mvcc_broken : unit -> scenario
-(** Mutation sanity check for the MVCC layer:
-    {!Service.Kv.mvcc_break_early_publish} makes a staged prepare
-    publish versions before any decision exists, so a snapshot taken
-    between prepare and decide observes an undecided write.  The
-    checker MUST flag it; excluded from {!all_scenarios}. *)
-
-val scn_kv_rcache_put : unit -> scenario
-(** The kv-snapshot op mix on a store with both an MVCC window and a
-    DRAM read cache ([rcache_entries:4] per shard — smaller than the
-    per-shard keyspace, so the audits force CLOCK evictions).  After
-    every completed op the driver audits the completed-prefix model
-    through the cached plain-[get] path {e and} through a fresh
-    snapshot; a stale cached digest is a [cached-reads]
-    counterexample.  Recovery keeps the standard acked-prefix oracle:
-    the cache is volatile, so the re-attached store must be
-    indistinguishable from the uncached sweeps. *)
-
-val scn_rcache_broken : unit -> scenario
-(** Mutation sanity check for the read cache
-    ({!Service.Kv.rcache_break_late_invalidate}): invalidations are
-    deferred until the {e next} mutation starts, so between a
-    mutation's reply and the following op the cache still serves the
-    overwritten digest.  The [cached-reads] oracle MUST flag it;
-    excluded from {!all_scenarios}. *)
-
-val scn_kv_replicated_put : unit -> scenario
-(** Sync replication over a two-machine cluster: each op persists on
-    the primary, ships over a {!Cluster.Link}, is applied/persisted on
-    the backup and cumulatively acked — and the sweep crashes the
-    whole cluster at every fence of that pipeline (both devices' fence
-    streams share one point space via [aux_devs]).  Recovery attaches
-    the {e backup}; the oracle asserts every sync-acked write is
-    readable there after primary loss. *)
-
-val scn_kv_batched_put : ?window:int -> ?premature_ack:bool -> unit -> scenario
-(** The batched pipeline end to end: queued mutations drain in groups
-    of [window] (default 4) through {!Service.Kv.group_commit} (one
-    covering persist chain per chunk), ship as one doorbell frame per
-    chunk ({!Replica.Shipper.ship_buffered} + [flush]) and are acked
-    cumulatively by a batched applier.  Same correlated cluster-wide
-    crash as [kv-replicated-put]; the oracle is the {e windowed}
-    prefix rule — the recovered backup must equal the plan prefix at
-    some length in [acked, acked + window], i.e. a crash mid-batch
-    loses at most the unacked window and never an acked op.
-    [premature_ack] (default false) arms the seeded bug below. *)
-
-val scn_kv_batched_broken : unit -> scenario
-(** Mutation sanity check for the batching layer: the driver claims a
-    group durable {e before} its covering flush is acked — exactly the
-    "ack before fence" bug group commit must not introduce.  The
-    checker MUST flag it; excluded from {!all_scenarios}. *)
-
-val scn_kv_tcache_put : unit -> scenario
-(** The kv-put/delete/overwrite mix allocated through a {!Tcache}
-    magazine cache (mag 4): bin-miss refills carve 4-block batches
-    under reclaim-ledger leases, puts pop volatile bins and publish
-    the lease at the commit fence, frees write a reclaim lease then
-    recycle.  On top of the standard and prefix oracles, a
-    [value-census] oracle re-attaches the service and demands the
-    recovered heap hold exactly one live value-class block per present
-    key — leased bin residue must have been freed by recovery, and no
-    recycled block may leak. *)
-
-val scn_kv_tcache_broken : unit -> scenario
-(** Mutation sanity check for the cache layer
-    ({!Tcache.break_recycle}): frees recycle into the bins with no
-    reclaim lease and no persistent free, so a crash orphans every
-    block whose store reference was dropped.  The census oracle MUST
-    flag it; excluded from {!all_scenarios}. *)
-
-val scn_kv_tcache_hwm_broken : unit -> scenario
-(** Mutation sanity check for the reclaim ledger's high-water mark
-    ({!Poseidon.Heap.tc_break_hwm}): a magazine free persists its lease
-    without first raising the hwm, so recovery's [\[0, hwm)] scan
-    misses it.  The invariants oracle (armed slot at or above the hwm)
-    MUST flag it; excluded from {!all_scenarios}. *)
-
-val scn_broken_missing_flush : unit -> scenario
-(** Mutation sanity check: a two-line "write data, persist commit
-    flag" protocol that {e forgets the clwb on the data line}.  Its
-    extra oracle demands data be intact whenever the flag persisted;
-    the checker must report a counterexample at the flag's fence. *)
-
-val all_scenarios : unit -> scenario list
-(** Every correct scenario (not the broken one). *)
+val registry : entry list
+(** Every built-in scenario, each seeded bug listed after the correct
+    scenario it breaks.  The one place scenario names are spelled. *)
 
 val scenario_by_name : string -> scenario option
-(** ["alloc" | "free" | "tx-commit" | "tx-abort" | "extend" |
-    "kv-put" | "kv-delete" | "kv-txn" | "kv-txn-broken" |
-    "kv-snapshot" | "mvcc-broken" | "kv-rcache-put" | "rcache-broken" |
-    "kv-replicated-put" | "kv-batched-put" | "kv-batched-broken" |
-    "kv-tcache-put" | "tcache-broken" | "tcache-hwm-broken" |
-    "broken"]. *)
+(** A fresh instance of the registry entry named [name]. *)
+
+val all_scenarios : unit -> scenario list
+(** Fresh instances of every [Correct] entry, in registry order. *)
+
+val scn_kv_batched : ?window:int -> string -> scenario
+(** The correct batched sweep (["kv-batched-put"]) with batch [window]
+    (default 4), reported under the given name — for sweeping the
+    window. *)

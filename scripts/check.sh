@@ -49,6 +49,23 @@ if dune exec bin/main.exe -- crashcheck --scenario broken --max-points 2 \
   echo "check: crashcheck FAILED to detect the seeded missing-flush bug" >&2
   exit 1
 fi
+# crashcheck golden gate: every registered scenario's summary line at a
+# fixed strided budget (seed 1, independent of CRASH_SEED) must match
+# test/golden/crashcheck.txt, pinning each protocol path's fence count
+# and each scenario's green-or-flagged verdict.  A fence added anywhere
+# shows up as a diff; after an intended change, regenerate with
+#   sh scripts/crashcheck_golden.sh test/golden/crashcheck.txt
+# and record the refresh in CHANGES.md.
+step="crashcheck golden gate"
+tmpdir="$(mktemp -d)"
+sh scripts/crashcheck_golden.sh "$tmpdir/crashcheck.txt"
+if ! diff -u test/golden/crashcheck.txt "$tmpdir/crashcheck.txt" > /dev/null; then
+  echo "check: crashcheck summary DIVERGES from test/golden/crashcheck.txt:" >&2
+  diff -u test/golden/crashcheck.txt "$tmpdir/crashcheck.txt" >&2 || true
+  rm -rf "$tmpdir"
+  exit 1
+fi
+rm -rf "$tmpdir"
 # service crash-point sweep: the KV write path's intent protocol,
 # strided for tier-1 speed (exhaustive in test_crashcheck / manual runs).
 step="crashcheck kv-put sweep"
@@ -275,4 +292,4 @@ dune exec bin/main.exe -- serve --shards 2 --clients 8 --rate 40000 \
   --crash-at 0.5 --seed "$CRASH_SEED" > /dev/null
 
 step="done"
-echo "check: lint + build + tests + crashcheck (incl. 2PC + batching + MVCC + tcache + rcache gates) + serve/txn/failover/mvcc/tcache/rcache smokes + trace validity + determinism + bench_diff self-test + golden serve OK"
+echo "check: lint + build + tests + crashcheck (incl. golden + 2PC + batching + MVCC + tcache + rcache gates) + serve/txn/failover/mvcc/tcache/rcache smokes + trace validity + determinism + bench_diff self-test + golden serve OK"

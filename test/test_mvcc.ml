@@ -341,24 +341,6 @@ let test_scan_vs_concurrent_deletes () =
   check_int "no snapshot outlived retained history" 0
     (Kv.mvcc_truncated_reads s)
 
-(* ---------- crashcheck: correctness sweep + mutation gate ---------- *)
-
-let test_kv_snapshot_sweep_green () =
-  let scn = Crashcheck.scn_kv_snapshot () in
-  let r = Crashcheck.run ~max_points:6 ~subsets_per_point:1 scn in
-  check "bounded kv-snapshot sweep is green" true
-    (r.Crashcheck.counterexamples = []);
-  check "recoveries were actually verified" true
-    (r.Crashcheck.recoveries_verified > 0)
-
-(* the inverted gate in scripts/check.sh relies on this scenario being
-   flaggable: early publication MUST yield a counterexample *)
-let test_mvcc_broken_flagged () =
-  let scn = Crashcheck.scn_mvcc_broken () in
-  let r = Crashcheck.run ~max_points:6 ~subsets_per_point:1 scn in
-  check "checker flags publication before decision" true
-    (r.Crashcheck.counterexamples <> [])
-
 let () =
   Alcotest.run "mvcc"
     [ ( "chains",
@@ -385,9 +367,4 @@ let () =
         [ Alcotest.test_case "snapshot stability under writers" `Quick
             test_concurrent_snapshot_stability;
           Alcotest.test_case "scans survive concurrent deletes" `Quick
-            test_scan_vs_concurrent_deletes ] );
-      ( "crashcheck",
-        [ Alcotest.test_case "kv-snapshot sweep green" `Quick
-            test_kv_snapshot_sweep_green;
-          Alcotest.test_case "mvcc-broken flagged" `Quick
-            test_mvcc_broken_flagged ] ) ]
+            test_scan_vs_concurrent_deletes ] ) ]

@@ -247,24 +247,6 @@ let test_late_invalidation_window () =
   check "the next mutation closes the window" true
     (Kv.get s ~key:1 = Some (Kv.value_checksum s ~vseed:11))
 
-(* ---------- crashcheck: correctness sweep + mutation gate ---------- *)
-
-let test_kv_rcache_sweep_green () =
-  let scn = Crashcheck.scn_kv_rcache_put () in
-  let r = Crashcheck.run ~max_points:6 ~subsets_per_point:1 scn in
-  check "bounded kv-rcache-put sweep is green" true
-    (r.Crashcheck.counterexamples = []);
-  check "recoveries were actually verified" true
-    (r.Crashcheck.recoveries_verified > 0)
-
-(* the inverted gate in scripts/check.sh relies on this scenario being
-   flaggable: invalidate-after-reply MUST yield a counterexample *)
-let test_rcache_broken_flagged () =
-  let scn = Crashcheck.scn_rcache_broken () in
-  let r = Crashcheck.run ~max_points:6 ~subsets_per_point:1 scn in
-  check "checker flags invalidate-after-reply" true
-    (r.Crashcheck.counterexamples <> [])
-
 (* ---------- serve gauges ---------- *)
 
 (* The store gauges describe the traffic: they are sampled at the cut
@@ -336,11 +318,6 @@ let () =
       ( "concurrency",
         [ Alcotest.test_case "txn groups vs snapshot readers" `Quick
             test_txn_group_invalidation_vs_snapshot_readers ] );
-      ( "crashcheck",
-        [ Alcotest.test_case "kv-rcache-put sweep green" `Quick
-            test_kv_rcache_sweep_green;
-          Alcotest.test_case "rcache-broken flagged" `Quick
-            test_rcache_broken_flagged ] );
       ( "serve",
         [ Alcotest.test_case "gauges count traffic, not verification"
             `Quick test_serve_gauges_count_traffic_only ] ) ]

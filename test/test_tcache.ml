@@ -301,26 +301,6 @@ let test_serve_metrics_surfaced () =
   check "the cache actually served traffic" true
     (g "tcache_hits" +. g "tcache_misses" > 0.)
 
-(* ---------- crashcheck sweeps ---------- *)
-
-let test_kv_tcache_sweep_green () =
-  let scn = Option.get (Crashcheck.scenario_by_name "kv-tcache-put") in
-  let r = Crashcheck.run ~max_points:6 ~subsets_per_point:1 scn in
-  check "sweeps points" true (r.Crashcheck.points_explored >= 6);
-  check_int "no counterexamples" 0 (List.length r.Crashcheck.counterexamples)
-
-let test_tcache_broken_flagged () =
-  let scn = Option.get (Crashcheck.scenario_by_name "tcache-broken") in
-  let r = Crashcheck.run ~max_points:10 ~subsets_per_point:1 scn in
-  check "the leaseless-recycle mutation is flagged" true
-    (r.Crashcheck.counterexamples <> [])
-
-let test_tcache_hwm_broken_flagged () =
-  let scn = Option.get (Crashcheck.scenario_by_name "tcache-hwm-broken") in
-  let r = Crashcheck.run ~max_points:8 ~subsets_per_point:1 scn in
-  check "the unraised-hwm mutation is flagged" true
-    (r.Crashcheck.counterexamples <> [])
-
 let () =
   Alcotest.run "tcache"
     [ ( "bins",
@@ -347,11 +327,4 @@ let () =
         [ Alcotest.test_case "cached store = uncached store" `Quick
             test_kv_equivalence;
           Alcotest.test_case "serve surfaces mvcc + tcache gauges" `Quick
-            test_serve_metrics_surfaced ] );
-      ( "crashcheck",
-        [ Alcotest.test_case "kv-tcache-put sweep green" `Quick
-            test_kv_tcache_sweep_green;
-          Alcotest.test_case "tcache-broken flagged" `Quick
-            test_tcache_broken_flagged;
-          Alcotest.test_case "tcache-hwm-broken flagged" `Quick
-            test_tcache_hwm_broken_flagged ] ) ]
+            test_serve_metrics_surfaced ] ) ]

@@ -172,24 +172,6 @@ let test_backup_abort_discards_slice () =
   check "aborted slice never surfaces" true (Kv.get kv ~key:ka = None);
   check_int "slot already discarded" 0 (Txn.resolve_indoubt kv)
 
-(* ---------- crashcheck: protocol sweep + mutation sanity ---------- *)
-
-let test_crashcheck_txn_sweep () =
-  let scn = Option.get (Crashcheck.scenario_by_name "kv-txn") in
-  let r = Crashcheck.run ~max_points:8 ~subsets_per_point:1 scn in
-  check "sweeps points" true (r.Crashcheck.points_explored >= 8);
-  check_int "transactions stay atomic at every crash point" 0
-    (List.length r.Crashcheck.counterexamples)
-
-let test_crashcheck_flags_unflushed_decision () =
-  (* the same sweep against a coordinator that skips the decision
-     record's flush MUST find a counterexample, or the checker cannot
-     see the commit point *)
-  let scn = Option.get (Crashcheck.scenario_by_name "kv-txn-broken") in
-  let r = Crashcheck.run scn in
-  check "seeded 2PC bug detected" true
-    (List.length r.Crashcheck.counterexamples > 0)
-
 let () =
   Alcotest.run "txn"
     [ ( "atomicity",
@@ -208,9 +190,4 @@ let () =
           Alcotest.test_case "group apply deferred to last decide" `Quick
             test_backup_defers_group_apply;
           Alcotest.test_case "abort decide discards the slice" `Quick
-            test_backup_abort_discards_slice ] );
-      ( "crashcheck",
-        [ Alcotest.test_case "kv-txn: bounded sweep clean" `Quick
-            test_crashcheck_txn_sweep;
-          Alcotest.test_case "kv-txn-broken: mutation flagged" `Quick
-            test_crashcheck_flags_unflushed_decision ] ) ]
+            test_backup_abort_discards_slice ] ) ]
