@@ -3,9 +3,9 @@
    durability across crashes (published blocks survive, bin residue
    and stashed frees are reclaimed by recovery), pass-through modes,
    store-level equivalence with the uncached path, serve-run metrics
-   surfacing, the reclaim ledger's high-water mark, and bounded
-   crashcheck sweeps: kv-tcache-put must be green and the
-   tcache-broken and tcache-hwm-broken mutations must be flagged. *)
+   surfacing, the reclaim ledger's high-water mark, and the cache's
+   crashcheck registry entries: kv-tcache-put registered as correct,
+   tcache-broken and tcache-hwm-broken as seeded bugs. *)
 
 module H = Poseidon.Heap
 module Memdev = Nvmm.Memdev
@@ -301,6 +301,28 @@ let test_serve_metrics_surfaced () =
   check "the cache actually served traffic" true
     (g "tcache_hits" +. g "tcache_misses" > 0.)
 
+(* ---------- crashcheck registration ---------- *)
+
+(* test_crashcheck sweeps whatever the registry holds, so a tcache
+   entry dropped from it, or its kind flipped, would go unnoticed
+   there; pin the cache's crash coverage here *)
+let test_crashcheck_entries_registered () =
+  let kind name =
+    match
+      List.find_opt (fun (e : Crashcheck.entry) -> e.Crashcheck.name = name)
+        Crashcheck.registry
+    with
+    | Some e -> e.Crashcheck.kind
+    | None -> Alcotest.failf "%s is not in the crashcheck registry" name
+  in
+  check "kv-tcache-put is a correct scenario" true
+    (kind "kv-tcache-put" = Crashcheck.Correct);
+  List.iter
+    (fun name ->
+      check (name ^ " is a seeded bug") true
+        (kind name = Crashcheck.Seeded_bug))
+    [ "tcache-broken"; "tcache-hwm-broken" ]
+
 let () =
   Alcotest.run "tcache"
     [ ( "bins",
@@ -327,4 +349,7 @@ let () =
         [ Alcotest.test_case "cached store = uncached store" `Quick
             test_kv_equivalence;
           Alcotest.test_case "serve surfaces mvcc + tcache gauges" `Quick
-            test_serve_metrics_surfaced ] ) ]
+            test_serve_metrics_surfaced ] );
+      ( "crashcheck",
+        [ Alcotest.test_case "tcache entries registered" `Quick
+            test_crashcheck_entries_registered ] ) ]
